@@ -24,13 +24,11 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--speed", type=float, default=343.0, help="speed of sound (m/s)")
     p.add_argument("--rate", type=int, default=16000, help="sample rate (Hz)")
     p.add_argument("--delta", type=float, default=1e-5, help="SVD reconstruction tolerance")
-    p.add_argument("--interp", type=int, default=1, help="FFT zero-padding factor")
 
 
 def _params(args) -> GccParams:
     return GccParams(q=args.q, n=args.n, hop=args.hop, dist=args.dist,
-                     speed=args.speed, rate=args.rate, delta=args.delta,
-                     interp=args.interp)
+                     speed=args.speed, rate=args.rate, delta=args.delta)
 
 
 def _method_list(spec: str) -> list[str]:
@@ -60,19 +58,19 @@ def cmd_estimate(args) -> int:
         if not args.factors:
             raise InputError("method 'svd' needs --factors FILE (run factorize first)")
         factors = factorization.load_factors(args.factors)
-    else:
-        parse_method(args.method)
+    est = build_estimator(args.method, params, factors)
     ch1, ch2 = audio.read_stereo_wav(args.wav, params.rate)
     x1 = stft_frames(ch1, params.n, params.hop, args.window)
     x2 = stft_frames(ch2, params.n, params.hop, args.window)
     frames = cross_spectrum(x1, x2)
-    est = build_estimator(args.method, params, factors)
+    # an all-zero PHAT frame (digital silence) has no direction: theta_deg is null
+    silent = ~frames.any(axis=1)
     with open(args.out, "w") as fh:
-        for i, frame in enumerate(frames):
+        for i, (frame, quiet) in enumerate(zip(frames, silent)):
             e = est.estimate(frame)
-            fh.write(json.dumps({"frame": i, "theta_deg": float(np.degrees(e.theta_est)),
-                                 "energy": e.energy}) + "\n")
-    print(f"{len(frames)} frames -> {args.out}")
+            theta = None if quiet else float(np.degrees(e.theta_est))
+            fh.write(json.dumps({"frame": i, "theta_deg": theta, "energy": e.energy}) + "\n")
+    print(f"{len(frames)} frames ({int(silent.sum())} silent) -> {args.out}")
     return 0
 
 

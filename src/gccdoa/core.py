@@ -103,6 +103,11 @@ class SteeringMatrix:
     entries: np.ndarray
 
 
+def round_half_away(x: np.ndarray) -> np.ndarray:
+    """Nearest integer (as float), ties away from zero (not banker's rounding)."""
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

@@ -14,9 +14,10 @@ quantity: a correlation curve over the Q grid angles,
              the offline low-rank factorization, stacked into one real
              operator that reads the spectrum as interleaved (re, im) pairs.
 
-Each back-end also exists as a prepared-state class with a common
-``estimate(x12) -> DoaEstimate`` call shape, so the benchmark harness times
-identical interfaces. Prepared state is immutable; estimate calls allocate
+Each back-end's arithmetic is one private kernel over precomputed state. The
+free functions build that state per call; the prepared classes build it once
+and share one ``estimate(x12) -> DoaEstimate`` (check the frame, run the
+kernel, take the peak). Prepared state is immutable; estimate calls allocate
 their own scratch and are reentrant.
 """
 from __future__ import annotations
@@ -26,10 +27,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (AngularGrid, GccParams, SteeringMatrix, normalization_gains,
-                   steering_matrix, theta_grid)
+from .core import (ALLOWED_INTERP, AngularGrid, GccParams, SteeringMatrix,
+                   normalization_gains, round_half_away, steering_matrix,
+                   theta_grid)
 from .errors import ConfigurationError, DimensionError, InputError
-from .factorization import LowRankFactors, factorize
+from .factorization import (RECON_SLACK, LowRankFactors, factorize,
+                            reconstruction_ratios)
 
 
 @dataclass(frozen=True)
@@ -49,11 +52,6 @@ class InterpolatedLags:
     factor: int
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # nearest integer, ties away from zero (not banker's rounding)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 def _check_spectrum(x12: np.ndarray, half_bins: int) -> np.ndarray:
     x12 = np.asarray(x12)
     if x12.shape != (half_bins,):
@@ -61,10 +59,14 @@ def _check_spectrum(x12: np.ndarray, half_bins: int) -> np.ndarray:
     return x12
 
 
-def mm_correlate(w: SteeringMatrix, x12: np.ndarray) -> np.ndarray:
-    """Exact correlation curve: Re(W @ X12)."""
-    x12 = _check_spectrum(x12, w.entries.shape[1])
-    return (w.entries @ x12).real
+def _peak(values: np.ndarray, thetas: np.ndarray) -> DoaEstimate:
+    # the ndarray method skips the dispatch wrapper of the numpy function (~1.4 us/frame)
+    q = int(values.argmax())
+    return DoaEstimate(q, float(thetas[q]), float(values[q]))
+
+
+def _mm_curve(entries: np.ndarray, x12: np.ndarray) -> np.ndarray:
+    return (entries @ x12).real
 
 
 def _padded_gains(gains: np.ndarray, interp: int) -> np.ndarray:
@@ -82,54 +84,39 @@ def _padded_gains(gains: np.ndarray, interp: int) -> np.ndarray:
     return gs
 
 
-def fft_correlate(x12: np.ndarray, params: GccParams) -> InterpolatedLags:
-    """Zero-padded inverse transform of the g-weighted cross-spectrum."""
-    x12 = _check_spectrum(x12, params.half_bins)
-    i_n = params.interp * params.n
-    gs = _padded_gains(normalization_gains(params.n), params.interp)
+def _padded_lags(gs: np.ndarray, interp: int, x12: np.ndarray) -> np.ndarray:
+    """Lag samples: one irfft of length i*N of the g-weighted, zero-padded spectrum."""
+    i_n = interp * (2 * (len(gs) - 1))
     buf = np.zeros(i_n // 2 + 1, dtype=np.complex128)
-    np.multiply(gs, x12, out=buf[: params.half_bins])
+    np.multiply(gs, x12, out=buf[: len(gs)])
     # the one-sided convention keeps only the real part at the spectrum edges
     buf[0] = gs[0] * x12[0].real
-    if params.interp == 1:
+    if interp == 1:
         buf[-1] = gs[-1] * x12[-1].real
-    return InterpolatedLags(samples=np.fft.irfft(buf, i_n), factor=params.interp)
+    return np.fft.irfft(buf, i_n)
 
 
-def _check_lags(y: InterpolatedLags, grid: AngularGrid, params: GccParams) -> None:
-    if y.factor != params.interp:
-        raise ConfigurationError(f"lags built at factor {y.factor}, params.interp={params.interp}")
-    if len(y.samples) != params.interp * params.n:
-        raise DimensionError(f"{len(y.samples)} lag samples, expected {params.interp * params.n}")
-
-
-def map_lags(y: InterpolatedLags, grid: AngularGrid, params: GccParams) -> np.ndarray:
-    """Nearest-lag readout: values[q] = samples[round(i * tau_q) mod i*N]."""
-    _check_lags(y, grid, params)
-    i_n = len(y.samples)
-    idx = _round_half_away(params.interp * grid.taus).astype(np.int64) % i_n
-    return y.samples[idx]
-
-
-def qi_correlate(y: InterpolatedLags, grid: AngularGrid, params: GccParams) -> np.ndarray:
-    """Quadratic-corrected readout at the fractional lag offsets.
-
-    For each angle, fit a parabola through the three lags around
-    round(i * tau_q) and evaluate it at the remaining fractional offset
-    delta in [-0.5, 0.5].
-    """
-    _check_lags(y, grid, params)
-    i_n = len(y.samples)
-    r = params.interp * grid.taus
-    t0 = _round_half_away(r)
+def _lag_table(taus: np.ndarray, params: GccParams, qi: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Padded lags read per angle and their weights (None: read as is): the
+    nearest lag round(i * tau) mod i*N, ties away from zero, or with qi the
+    lags -1, 0, +1 around it, weighted to evaluate their parabola at the
+    fractional offset delta in [-0.5, 0.5] left over."""
+    i_n = params.interp * params.n
+    r = params.interp * taus
+    t0 = round_half_away(r)
+    idx = t0.astype(np.int64) % i_n
+    if not qi:
+        return idx, None
     delta = r - t0
-    base = t0.astype(np.int64)
-    y_m = y.samples[(base - 1) % i_n]
-    y_0 = y.samples[base % i_n]
-    y_p = y.samples[(base + 1) % i_n]
-    a = 0.5 * (y_m - 2.0 * y_0 + y_p)
-    b = 0.5 * (y_p - y_m)
-    return a * delta**2 + b * delta + y_0
+    lags = np.stack([(idx - 1) % i_n, idx, (idx + 1) % i_n])
+    weights = np.stack([0.5 * (delta * delta - delta),
+                        1.0 - delta * delta,
+                        0.5 * (delta * delta + delta)])
+    return lags, weights
+
+
+def _read_lags(samples: np.ndarray, lags: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    return samples[lags] if weights is None else np.einsum("ij,ij->j", weights, samples[lags])
 
 
 def _svd_operator(factors: LowRankFactors) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +138,42 @@ def _svd_apply(u: np.ndarray, t_il: np.ndarray, x12: np.ndarray) -> np.ndarray:
     return u @ (t_il @ np.ascontiguousarray(x12, dtype=np.complex128).view(np.float64))
 
 
+def mm_correlate(w: SteeringMatrix, x12: np.ndarray) -> np.ndarray:
+    """Exact correlation curve: Re(W @ X12)."""
+    return _mm_curve(w.entries, _check_spectrum(x12, w.entries.shape[1]))
+
+
+def fft_correlate(x12: np.ndarray, params: GccParams) -> InterpolatedLags:
+    """Zero-padded inverse transform of the g-weighted cross-spectrum."""
+    x12 = _check_spectrum(x12, params.half_bins)
+    gs = _padded_gains(normalization_gains(params.n), params.interp)
+    return InterpolatedLags(samples=_padded_lags(gs, params.interp, x12), factor=params.interp)
+
+
+def _check_lags(y: InterpolatedLags, params: GccParams) -> None:
+    if y.factor != params.interp:
+        raise ConfigurationError(f"lags built at factor {y.factor}, params.interp={params.interp}")
+    if len(y.samples) != params.interp * params.n:
+        raise DimensionError(f"{len(y.samples)} lag samples, expected {params.interp * params.n}")
+
+
+def map_lags(y: InterpolatedLags, grid: AngularGrid, params: GccParams) -> np.ndarray:
+    """Nearest-lag readout: values[q] = samples[round(i * tau_q) mod i*N]."""
+    _check_lags(y, params)
+    return _read_lags(y.samples, *_lag_table(grid.taus, params, False))
+
+
+def qi_correlate(y: InterpolatedLags, grid: AngularGrid, params: GccParams) -> np.ndarray:
+    """Quadratic-corrected readout at the fractional lag offsets.
+
+    For each angle, fit a parabola through the three lags around
+    round(i * tau_q) and evaluate it at the remaining fractional offset
+    delta in [-0.5, 0.5].
+    """
+    _check_lags(y, params)
+    return _read_lags(y.samples, *_lag_table(grid.taus, params, True))
+
+
 def svd_correlate(factors: LowRankFactors, x12: np.ndarray) -> np.ndarray:
     """Low-rank curve: U_R (T_R Re X12) - U_I (T_I Im X12)."""
     x12 = _check_spectrum(x12, factors.t_r.shape[1])
@@ -164,106 +187,80 @@ def pick_peak(curve: np.ndarray, grid: AngularGrid) -> DoaEstimate:
         raise DimensionError("empty correlation curve")
     if values.shape != grid.thetas.shape:
         raise DimensionError(f"curve has {values.shape[0]} values for {grid.thetas.shape[0]} angles")
-    q = int(np.argmax(values))
-    return DoaEstimate(q_max=q, theta_est=float(grid.thetas[q]), energy=float(values[q]))
+    return _peak(values, grid.thetas)
 
 
-# ---------------------------------------------------------------------------
-# prepared estimators (one state build, many estimate calls)
+class _PreparedEstimator:
+    """Shared set-up and per-frame path; each subclass supplies its kernel as ``_curve``."""
 
-class MatrixEstimator:
+    def __init__(self, params: GccParams, name: str):
+        self.params = params
+        self.grid = theta_grid(params)
+        self.name = name
+        self._bins = params.half_bins
+        self._thetas = self.grid.thetas
+
+    def estimate(self, x12: np.ndarray) -> DoaEstimate:
+        return _peak(self._curve(_check_spectrum(x12, self._bins)), self._thetas)
+
+
+class MatrixEstimator(_PreparedEstimator):
     """Exact back-end: one complex matrix-vector product per frame."""
 
     def __init__(self, params: GccParams):
-        self.params = params
-        self.grid = theta_grid(params)
-        self.name = "mm"
+        super().__init__(params, "mm")
         self._entries = steering_matrix(params, self.grid).entries
-        self._thetas = self.grid.thetas
 
-    def estimate(self, x12: np.ndarray) -> DoaEstimate:
-        values = (self._entries @ x12).real
-        q = int(np.argmax(values))
-        return DoaEstimate(q, float(self._thetas[q]), float(values[q]))
+    def _curve(self, x12: np.ndarray) -> np.ndarray:
+        return _mm_curve(self._entries, x12)
 
 
-class FftEstimator:
+class FftEstimator(_PreparedEstimator):
     """Zero-padded-IFFT back-end, optionally with quadratic correction."""
 
     def __init__(self, params: GccParams, qi: bool = False):
-        self.params = params
-        self.grid = theta_grid(params)
+        super().__init__(params, f"fft{params.interp:02d}" + ("-qi" if qi else ""))
         self.qi = qi
-        self.name = f"fft{params.interp:02d}" + ("-qi" if qi else "")
-        interp, n = params.interp, params.n
-        self._interp = interp
-        self._i_n = interp * n
-        self._nb = self._i_n // 2 + 1
-        self._k = params.half_bins
-        self._gs = _padded_gains(normalization_gains(n), interp)
-        self._g0 = float(self._gs[0])
-        self._g_nyq = float(self._gs[-1]) if interp == 1 else 0.0
-        r = interp * self.grid.taus
-        t0 = _round_half_away(r)
-        base = t0.astype(np.int64)
-        self._idx = base % self._i_n
-        if qi:
-            delta = r - t0
-            self._idx3 = np.stack([(base - 1) % self._i_n, self._idx, (base + 1) % self._i_n])
-            # parabola through (y-, y0, y+) evaluated at delta, as lag weights
-            self._wts = np.stack([0.5 * (delta * delta - delta),
-                                  1.0 - delta * delta,
-                                  0.5 * (delta * delta + delta)])
-        self._thetas = self.grid.thetas
+        self._gs = _padded_gains(normalization_gains(params.n), params.interp)
+        self._lags, self._weights = _lag_table(self.grid.taus, params, qi)
 
-    def estimate(self, x12: np.ndarray) -> DoaEstimate:
-        buf = np.zeros(self._nb, dtype=np.complex128)
-        np.multiply(self._gs, x12, out=buf[: self._k])
-        buf[0] = self._g0 * x12[0].real
-        if self._interp == 1:
-            buf[-1] = self._g_nyq * x12[-1].real
-        y = np.fft.irfft(buf, self._i_n)
-        if self.qi:
-            values = np.einsum("ij,ij->j", self._wts, y[self._idx3])
-        else:
-            values = y[self._idx]
-        q = int(np.argmax(values))
-        return DoaEstimate(q, float(self._thetas[q]), float(values[q]))
+    def _curve(self, x12: np.ndarray) -> np.ndarray:
+        return _read_lags(_padded_lags(self._gs, self.params.interp, x12), self._lags, self._weights)
 
 
-class SvdEstimator:
-    """Low-rank back-end using offline factors (built here if not supplied)."""
+class SvdEstimator(_PreparedEstimator):
+    """Low-rank back-end using offline factors (built here if not supplied).
+
+    Factors that miss this steering matrix by more than their own delta (built
+    for another spacing, speed or rate) raise ConfigurationError.
+    """
 
     def __init__(self, params: GccParams, factors: LowRankFactors | None = None):
-        self.params = params
-        self.grid = theta_grid(params)
-        self.name = "svd"
+        super().__init__(params, "svd")
+        w = steering_matrix(params, self.grid)
         if factors is None:
-            factors = factorize(steering_matrix(params, self.grid), params.delta)
+            factors = factorize(w, params.delta)
         if factors.u_r.shape[0] != params.q or factors.t_r.shape[1] != params.half_bins:
             raise DimensionError(
                 f"factors are {factors.u_r.shape[0]} x {factors.t_r.shape[1]}, "
                 f"params need {params.q} x {params.half_bins}")
+        rr, ri = reconstruction_ratios(factors, w)
+        bound = factors.delta + RECON_SLACK
+        if not (rr <= bound and ri <= bound):
+            raise ConfigurationError(f"factors miss this steering matrix: reconstruction ratios "
+                                     f"{rr:.3e}/{ri:.3e} exceed delta={factors.delta:g}")
         self.factors = factors
         self._u, self._t_il = _svd_operator(factors)
-        self._thetas = self.grid.thetas
 
-    def estimate(self, x12: np.ndarray) -> DoaEstimate:
-        values = _svd_apply(self._u, self._t_il, x12)
-        # the ndarray method skips np.argmax's dispatch wrapper (~1.4 us/frame)
-        q = int(values.argmax())
-        return DoaEstimate(q, float(self._thetas[q]), float(values[q]))
+    def _curve(self, x12: np.ndarray) -> np.ndarray:
+        return _svd_apply(self._u, self._t_il, x12)
 
-
-# ---------------------------------------------------------------------------
-# method registry
 
 _FFT_NAME = re.compile(r"fft(\d{2})(-qi)?\Z")
 
 
 def method_names() -> list[str]:
     """All 14 back-end names in roster order."""
-    from .core import ALLOWED_INTERP
     names = ["mm"]
     names += [f"fft{i:02d}" for i in ALLOWED_INTERP]
     names += [f"fft{i:02d}-qi" for i in ALLOWED_INTERP]
@@ -279,7 +276,6 @@ def parse_method(name: str) -> tuple[str, int, bool]:
         return "svd", 1, False
     m = _FFT_NAME.match(name)
     if m:
-        from .core import ALLOWED_INTERP
         interp = int(m.group(1))
         if interp in ALLOWED_INTERP:
             return "fft", interp, m.group(2) is not None

@@ -23,6 +23,7 @@ from .errors import DimensionError, FormatError, NumericalError
 
 MAGIC = b"GPHAT-SVD\x00"
 VERSION = 1
+RECON_SLACK = 1e-9  # absolute slack over delta for rounding in reconstruction checks
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def _factor_part(w_part: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarr
     u_k = np.ascontiguousarray(u[:, :k])
     t_k = np.ascontiguousarray(s[:k, None] * vt[:k])
     err_sq = float(np.sum(np.square(u_k @ t_k - w_part)))
-    if err_sq > delta * fro_sq + 1e-9:
+    if err_sq > delta * fro_sq + RECON_SLACK:
         raise NumericalError(
             f"reconstruction error {err_sq:.3e} exceeds delta * ||W||_F^2 = {delta * fro_sq:.3e}")
     return u_k, t_k, k

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import fftconvolve
 
+from .core import round_half_away
 from .errors import ConfigurationError
 
 CATEGORY_BOUNDS = {
@@ -158,17 +159,13 @@ def image_rir(room: RoomSpec, source, mic, rate: int, length: int = RIR_LENGTH,
         if not np.any(keep):
             continue
         delay, amp = delay[keep], amp[keep]
-        base = _nearest_int(delay)
+        base = round_half_away(delay).astype(np.int64)
         t = base[:, None] + offs[None, :] - delay[:, None]
         taps = amp[:, None] * np.sinc(t) * (0.5 * (1.0 + np.cos(np.pi * t / (KERNEL_HALF + 0.5))))
         idx = base[:, None] + offs[None, :]
         ok = (idx >= 0) & (idx < length)
         h += np.bincount(idx[ok].ravel(), weights=taps[ok].ravel(), minlength=length)[:length]
     return h
-
-
-def _nearest_int(x: np.ndarray) -> np.ndarray:
-    return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(np.int64)
 
 
 def speech_like_source(duration_s: float, rate: int, rng: np.random.Generator) -> np.ndarray:

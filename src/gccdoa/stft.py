@@ -27,6 +27,8 @@ def stft_frames(signal: np.ndarray, n: int, hop: int, window: str = "hann") -> n
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise DimensionError(f"expected a mono sample sequence, got shape {signal.shape}")
+    if not np.isfinite(signal).all():
+        raise InputError("signal holds a non-finite sample (NaN or inf)")
     if len(signal) < n:
         raise InputError(f"signal has {len(signal)} samples, need at least n={n}")
     win = window_samples(window, n)

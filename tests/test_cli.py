@@ -59,6 +59,37 @@ class TestEstimate:
         assert rc == 2
         assert "factorize" in capsys.readouterr().err
 
+    def test_svd_with_stale_factors_is_clean_error(self, tmp_path, broadside_wav, capsys):
+        fac = tmp_path / "d005.gsvd"
+        assert main(["factorize", "--dist", "0.05", "--out", str(fac)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "svd.ndjson"
+        rc = main(["estimate", str(broadside_wav), "--dist", "0.1", "--method", "svd",
+                   "--factors", str(fac), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_silent_frames_have_no_angle(self, tmp_path, capsys):
+        rng = np.random.default_rng(22)
+        sig = rng.standard_normal(16000) * 0.2
+        sig[4000:8000] = 0.0  # digital silence in both channels
+        wav = tmp_path / "gap.wav"
+        _write_wav(wav, sig, sig)
+        out = tmp_path / "est.ndjson"
+        assert main(["estimate", str(wav), "--out", str(out)]) == 0
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        silent = [r["frame"] for r in recs if r["theta_deg"] is None]
+        # frames that lie wholly inside the gap: start in [4000, 7488]
+        assert silent == [f for f in range(len(recs)) if 4000 <= 160 * f <= 8000 - 512]
+        for r in recs:
+            assert list(r) == ["frame", "theta_deg", "energy"]
+            if r["theta_deg"] is None:
+                assert r["energy"] == 0.0
+            else:
+                assert r["theta_deg"] == pytest.approx(0.0, abs=1e-9) and r["energy"] > 0.0
+        assert f"({len(silent)} silent)" in capsys.readouterr().out
+
     def test_svd_with_factors_agrees_with_mm(self, tmp_path, broadside_wav):
         fac = tmp_path / "w.gsvd"
         assert main(["factorize", "--out", str(fac)]) == 0

@@ -327,6 +327,19 @@ class TestPreparedEstimators:
         with pytest.raises(DimensionError):
             SvdEstimator(GccParams(q=91), factors)
 
+    def test_svd_estimator_rejects_factors_of_another_spacing(self):
+        # same Q and N, so the shapes fit; only the reconstruction shows the mismatch
+        factors = factorize(W, TABLE.delta)
+        with pytest.raises(ConfigurationError, match="reconstruction ratios"):
+            SvdEstimator(GccParams(dist=0.1), factors)
+
+    @pytest.mark.parametrize("name", method_names())
+    def test_wrong_shaped_frame_rejected(self, name):
+        est = build_estimator(name, TABLE)
+        for frame in (np.ones(256, dtype=complex), np.ones((2, 257), dtype=complex)):
+            with pytest.raises(DimensionError):
+                est.estimate(frame)
+
     def test_estimate_is_reentrant(self):
         est = FftEstimator(GccParams(interp=2), qi=True)
         x = unit_modulus_batch(2, seed=44)

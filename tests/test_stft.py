@@ -33,6 +33,13 @@ class TestStftFrames:
         # frame 2 covers samples [16, 32): its DC value is their sum
         assert frames[2, 0].real == pytest.approx(sig[16:32].sum(), abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        sig = np.random.default_rng(5).standard_normal(2000)
+        sig[777] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            stft_frames(sig, n=512, hop=160)
+
     def test_short_signal_rejected(self):
         with pytest.raises(InputError):
             stft_frames(np.ones(100), n=512, hop=160)
