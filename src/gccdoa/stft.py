@@ -1,20 +1,27 @@
 """Framing, windowing, one-sided spectra, and the PHAT cross-spectrum."""
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from .core import _freeze
 from .errors import ConfigurationError, DimensionError, InputError
 
 # silence guard: below this magnitude product a bin carries no usable phase
 MAG_FLOOR = 1e-20
 
 
+@lru_cache(maxsize=32)
 def window_samples(kind: str, n: int) -> np.ndarray:
-    """Analysis window of length n: periodic Hann ("hann") or all-ones ("rect")."""
+    """Analysis window of length n: periodic Hann ("hann") or all-ones ("rect").
+
+    Built once per (kind, n) and shared: the array is read-only.
+    """
     if kind == "hann":
-        return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
+        return _freeze(0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n)))
     if kind == "rect":
-        return np.ones(n)
+        return _freeze(np.ones(n))
     raise ConfigurationError(f"unknown window {kind!r} (expected 'hann' or 'rect')")
 
 
@@ -22,8 +29,10 @@ def stft_frames(signal: np.ndarray, n: int, hop: int, window: str = "hann") -> n
     """One-sided spectra of all complete frames, shape (frames, n//2 + 1).
 
     Frame l covers samples [l*hop, l*hop + n); the frame count is
-    floor((len - n) / hop) + 1.
+    floor((len - n) / hop) + 1. n and hop must be >= 1; hop > n skips samples.
     """
+    if n < 1 or hop < 1:
+        raise ConfigurationError(f"frame size and hop must be >= 1, got n={n} hop={hop}")
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1:
         raise DimensionError(f"expected a mono sample sequence, got shape {signal.shape}")
@@ -32,9 +41,12 @@ def stft_frames(signal: np.ndarray, n: int, hop: int, window: str = "hann") -> n
     if len(signal) < n:
         raise InputError(f"signal has {len(signal)} samples, need at least n={n}")
     win = window_samples(window, n)
-    n_frames = (len(signal) - n) // hop + 1
-    idx = np.arange(n)[None, :] + hop * np.arange(n_frames)[:, None]
-    return np.fft.rfft(signal[idx] * win, axis=1)
+    # one copy only for a strided signal (a WAV channel); frame l is then a
+    # view of samples [l*hop, l*hop + n) in the signal's own memory
+    signal = np.ascontiguousarray(signal)
+    frames = np.ndarray(((len(signal) - n) // hop + 1, n), np.float64, buffer=signal,
+                        strides=(8 * hop, 8))
+    return np.fft.rfft(frames * win, axis=1)
 
 
 def cross_spectrum(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -50,6 +62,10 @@ def cross_spectrum(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         raise DimensionError(f"spectrum shapes differ: {x1.shape} vs {x2.shape}")
     prod = x1 * np.conj(x2)
     mag = np.abs(x1) * np.abs(x2)
+    voiced = mag >= MAG_FLOOR  # False for NaN as well as for silence
+    if voiced.all():
+        prod /= mag
+        return prod
     out = np.zeros_like(prod)
-    np.divide(prod, mag, out=out, where=mag >= MAG_FLOOR)
+    np.divide(prod, mag, out=out, where=voiced)
     return out

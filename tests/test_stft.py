@@ -3,7 +3,45 @@ import numpy as np
 import pytest
 
 from gccdoa.errors import ConfigurationError, DimensionError, InputError
-from gccdoa.stft import cross_spectrum, stft_frames, window_samples
+from gccdoa.stft import MAG_FLOOR, cross_spectrum, stft_frames, window_samples
+
+
+def gather_frames(signal, n, hop, window):
+    """Reference framing: an explicit index table and a gathered copy per frame."""
+    signal = np.asarray(signal, dtype=np.float64)
+    if window == "hann":
+        win = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
+    else:
+        win = np.ones(n)
+    n_frames = (len(signal) - n) // hop + 1
+    idx = np.arange(n)[None, :] + hop * np.arange(n_frames)[:, None]
+    return np.fft.rfft(signal[idx] * win, axis=1)
+
+
+def masked_cross(x1, x2):
+    """Reference PHAT step: one zero-filled division masked by the silence guard."""
+    prod = x1 * np.conj(x2)
+    mag = np.abs(x1) * np.abs(x2)
+    out = np.zeros_like(prod)
+    np.divide(prod, mag, out=out, where=mag >= MAG_FLOOR)
+    return out
+
+
+def read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+# (signal length, n, hop): one frame, the table values, hop > n, hop == 1
+FRAMINGS = [(512, 512, 160), (4000, 512, 160), (4000, 512, 700), (700, 512, 1), (300, 64, 1)]
+INPUTS = {
+    "contiguous": lambda x: x,
+    "slice": lambda x: np.concatenate((x, x))[37:37 + x.size],
+    "strided": lambda x: np.repeat(x, 2)[0::2],
+    "int16": lambda x: np.rint(x * 8000).astype(np.int16),
+    "read-only": read_only,
+}
 
 
 class TestStftFrames:
@@ -58,6 +96,35 @@ class TestStftFrames:
         with pytest.raises(ConfigurationError):
             window_samples("hamming", 16)
 
+    @pytest.mark.parametrize("kind", ["hann", "rect"])
+    def test_window_is_read_only_and_stable(self, kind):
+        win = window_samples(kind, 512)
+        assert not win.flags.writeable
+        with pytest.raises(ValueError):
+            win[0] = 1.0
+        again = window_samples(kind, 512)
+        assert np.array_equal(again, win)
+        expected = (0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(512) / 512))
+                    if kind == "hann" else np.ones(512))
+        assert np.array_equal(win, expected)
+
+    @pytest.mark.parametrize("n, hop", [(512, 0), (512, -160), (0, 160), (-1, 160), (0, 0)])
+    def test_bad_frame_size_or_hop_rejected(self, n, hop):
+        with pytest.raises(ConfigurationError):
+            stft_frames(np.ones(1000), n=n, hop=hop)
+
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    @pytest.mark.parametrize("kind", list(INPUTS))
+    def test_matches_gathered_frames_bit_for_bit(self, kind, window):
+        rng = np.random.default_rng(6)
+        for length, n, hop in FRAMINGS:
+            sig = INPUTS[kind](rng.uniform(-1.0, 1.0, length))
+            got = stft_frames(sig, n, hop, window)
+            expected = gather_frames(sig, n, hop, window)
+            assert got.shape == expected.shape == ((length - n) // hop + 1, n // 2 + 1)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected), (length, n, hop)
+
 
 class TestCrossSpectrum:
     def test_self_correlation_is_unit_real(self):
@@ -103,6 +170,45 @@ class TestCrossSpectrum:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             cross_spectrum(np.ones(5, dtype=complex), np.ones(6, dtype=complex))
+
+    @staticmethod
+    def _spectra(shape, dtype=np.complex128, seed=7):
+        rng = np.random.default_rng(seed)
+        return [(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+                for _ in range(2)]
+
+    def _assert_matches_masked(self, x1, x2):
+        got = cross_spectrum(x1, x2)
+        expected = masked_cross(x1, x2)
+        assert got.shape == expected.shape
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert not np.shares_memory(got, x1) and not np.shares_memory(got, x2)
+
+    def test_all_voiced_matches_masked_division(self):
+        self._assert_matches_masked(*self._spectra(257))
+
+    def test_partly_silent_matches_masked_division(self):
+        x1, x2 = self._spectra(257)
+        x1[[0, 5, 256]] = 0.0
+        x2[17] = 1e-30
+        self._assert_matches_masked(x1, x2)
+
+    def test_all_silent_matches_masked_division(self):
+        x1, x2 = self._spectra(257)
+        self._assert_matches_masked(np.zeros(257, dtype=complex), x2)
+        self._assert_matches_masked(x1 * 1e-12, x2 * 1e-12)
+
+    def test_batch_matches_masked_division(self):
+        x1, x2 = self._spectra((6, 257))
+        self._assert_matches_masked(x1, x2)
+        x1[2] = 0.0
+        self._assert_matches_masked(x1, x2)
+
+    def test_complex64_matches_masked_division(self):
+        x1, x2 = self._spectra((3, 257), np.complex64)
+        self._assert_matches_masked(x1, x2)
+        self._assert_matches_masked(x1, x2.astype(np.complex128))
 
     def test_integer_delay_phase_ramp(self):
         # x2 = x1 circularly delayed by D -> angle(X12[k]) = 2*pi*k*D/N
