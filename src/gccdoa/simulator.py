@@ -116,8 +116,44 @@ def place_pair_and_source(room: RoomSpec, d: float, rng: np.random.Generator):
 
 
 def _check_inside(name: str, pos: np.ndarray, dims: np.ndarray) -> None:
-    if np.any(pos <= 0) or np.any(pos >= dims):
+    # written so that a NaN coordinate fails: every comparison with NaN is False
+    if not np.all((pos > 0) & (pos < dims)):
         raise ConfigurationError(f"{name} {tuple(pos)} outside room {tuple(dims)}")
+
+
+# Tap o of an image at fractional delay f = delay - round(delay) is
+#   sinc(o - f) * 0.5 * (1 + cos(a_o - b)),  a_o = pi*o/(H+1/2),  b = pi*f/(H+1/2),
+# and sin(pi*(o - f)) = (-1)**(o+1) * sin(pi*f). So an image of amplitude amp has taps
+#   amp * sin(pi*f) * [1, cos b, sin b] @ _TAP_BASIS / (o - f),
+# three transcendentals per image instead of two per tap.
+_TAP_OFFS = np.arange(-KERNEL_HALF, KERNEL_HALF + 1)
+_HANN_STEP = np.pi / (KERNEL_HALF + 0.5)
+_TAP_BASIS = (np.where(_TAP_OFFS % 2, 0.5, -0.5) / np.pi
+              * np.stack([np.ones(_TAP_OFFS.size), np.cos(_HANN_STEP * _TAP_OFFS),
+                          np.sin(_HANN_STEP * _TAP_OFFS)]))
+
+
+def _kernel_taps(f: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """(images, 2*KERNEL_HALF+1) Hann-windowed sinc taps, scaled by amp."""
+    b = _HANN_STEP * f
+    scale = amp * np.sin(np.pi * f)
+    # einsum rather than a BLAS product, whose rounding depends on the row count:
+    # a tap's value must not depend on how many images share its parity
+    taps = np.einsum("ik,kj->ij", np.stack([scale, scale * np.cos(b), scale * np.sin(b)], axis=1),
+                     _TAP_BASIS)
+    den = _TAP_OFFS - f[:, None]
+    # an integer delay puts the sinc's 0/0 on tap o = 0, where the kernel is 1
+    exact = np.flatnonzero(f == 0.0)
+    den[exact, KERNEL_HALF] = 1.0
+    taps[exact, KERNEL_HALF] = amp[exact]
+    taps /= den
+    return taps
+
+
+def _lattice_sum(axes: list[np.ndarray]) -> np.ndarray:
+    """x + y + z over the image lattice, flattened in (rx, ry, rz) order."""
+    x, y, z = axes
+    return ((x[:, None, None] + y[None, :, None]) + z[None, None, :]).ravel()
 
 
 def image_rir(room: RoomSpec, source, mic, rate: int, length: int = RIR_LENGTH,
@@ -137,34 +173,41 @@ def image_rir(room: RoomSpec, source, mic, rate: int, length: int = RIR_LENGTH,
     _check_inside("microphone", mic, dims)
     if length <= 0:
         raise ConfigurationError(f"RIR length must be positive, got {length}")
+    if not rate > 0 or not speed > 0:
+        raise ConfigurationError(f"sample rate and speed of sound must be positive, "
+                                 f"got rate={rate} speed={speed}")
 
     c = float(speed)
-    max_dist = (length + KERNEL_HALF) * c / rate
-    orders = np.ceil(max_dist / (2.0 * dims)).astype(int)
-    grids = [np.arange(-o, o + 1) for o in orders]
-    rx, ry, rz = np.meshgrid(*grids, indexing="ij")
-    r_all = np.stack([rx.ravel(), ry.ravel(), rz.ravel()], axis=1).astype(np.float64)
-
-    h = np.zeros(length)
-    offs = np.arange(-KERNEL_HALF, KERNEL_HALF + 1)
     beta = float(room.beta)
-    for p in range(8):
-        pv = np.array([(p >> 2) & 1, (p >> 1) & 1, p & 1], dtype=np.float64)
-        pos = (1.0 - 2.0 * pv) * source + 2.0 * r_all * dims
-        dist = np.maximum(np.linalg.norm(pos - mic, axis=1), 1e-6)
-        refl = np.abs(r_all + pv).sum(axis=1) + np.abs(r_all).sum(axis=1)
-        amp = beta**refl / (4.0 * np.pi * dist)
+    if beta == 0.0:
+        # 0.0**refl vanishes for every image but the direct one (r = 0, p = 0)
+        grids, parities = [np.zeros(1)] * 3, (0,)
+    else:
+        max_dist = (length + KERNEL_HALF) * c / rate
+        orders = np.ceil(max_dist / (2.0 * dims)).astype(int)
+        grids, parities = [np.arange(-o, o + 1, dtype=np.float64) for o in orders], range(8)
+
+    # every tap lands in a buffer offset by KERNEL_HALF, so none needs a mask;
+    # the response is the buffer's middle `length` samples
+    h = np.zeros(length)
+    for p in parities:
+        pv = ((p >> 2) & 1, (p >> 1) & 1, p & 1)
+        # image offsets and reflection counts separate per axis
+        sq = [((1.0 - 2.0 * q) * s + 2.0 * r * d - m) ** 2
+              for q, s, r, d, m in zip(pv, source, grids, dims, mic)]
+        dist = np.maximum(np.sqrt(_lattice_sum(sq)), 1e-6)
         delay = dist * rate / c
-        keep = (delay < length + KERNEL_HALF) & (amp != 0.0)
+        keep = delay < length + KERNEL_HALF
         if not np.any(keep):
             continue
-        delay, amp = delay[keep], amp[keep]
+        dist, delay = dist[keep], delay[keep]
+        refl = _lattice_sum([np.abs(r + q) + np.abs(r) for q, r in zip(pv, grids)])[keep]
+        amp = beta**refl / (4.0 * np.pi * dist)
         base = round_half_away(delay).astype(np.int64)
-        t = base[:, None] + offs[None, :] - delay[:, None]
-        taps = amp[:, None] * np.sinc(t) * (0.5 * (1.0 + np.cos(np.pi * t / (KERNEL_HALF + 0.5))))
-        idx = base[:, None] + offs[None, :]
-        ok = (idx >= 0) & (idx < length)
-        h += np.bincount(idx[ok].ravel(), weights=taps[ok].ravel(), minlength=length)[:length]
+        taps = _kernel_taps(delay - base, amp)
+        idx = base[:, None] + (_TAP_OFFS + KERNEL_HALF)
+        h += np.bincount(idx.ravel(), weights=taps.ravel(),
+                         minlength=length + 2 * KERNEL_HALF + 1)[KERNEL_HALF:KERNEL_HALF + length]
     return h
 
 

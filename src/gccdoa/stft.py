@@ -18,6 +18,8 @@ def window_samples(kind: str, n: int) -> np.ndarray:
 
     Built once per (kind, n) and shared: the array is read-only.
     """
+    if n < 1:
+        raise ConfigurationError(f"window length must be >= 1, got {n}")
     if kind == "hann":
         return _freeze(0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n)))
     if kind == "rect":

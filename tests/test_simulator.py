@@ -1,10 +1,13 @@
 """Room sampling, geometry, image-method RIRs, rendering, and the manifest."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+from gccdoa.core import round_half_away
 from gccdoa.errors import ConfigurationError
-from gccdoa.simulator import (CATEGORIES, CATEGORY_BOUNDS, KERNEL_HALF,
+from gccdoa.simulator import (CATEGORIES, CATEGORY_BOUNDS, KERNEL_HALF, RIR_LENGTH,
                               WALL_CLEARANCE, RoomSpec, Scenario, image_rir,
                               pair_doa, place_pair_and_source, random_scenario,
                               read_manifest, render, sample_room,
@@ -121,6 +124,137 @@ class TestImageRir:
             image_rir(room, [6.0, 1.0, 1.0], [1.0, 1.0, 1.0], RATE)
         with pytest.raises(ConfigurationError):
             image_rir(room, [1.0, 1.0, 1.0], [1.0, -0.1, 1.0], RATE)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(rate=0), dict(rate=-16000), dict(rate=float("nan")),
+        dict(speed=0.0), dict(speed=-343.0), dict(speed=float("nan")),
+        dict(source=[1.0, float("nan"), 1.0]), dict(mic=[float("nan"), 1.0, 1.0]),
+    ])
+    def test_bad_physics_rejected(self, kwargs):
+        args = dict(room=RoomSpec(dims=(5.0, 5.0, 3.0), beta=0.3), source=[1.0, 1.0, 1.0],
+                    mic=[3.0, 2.0, 1.5], rate=RATE)
+        with pytest.raises(ConfigurationError):
+            image_rir(**{**args, **kwargs})
+
+
+def _per_tap_rir(room, source, mic, rate, length, speed=343.0):
+    """Oracle: the earlier renderer, np.sinc and np.cos on every tap and a masked bincount."""
+    dims = np.asarray(room.dims, dtype=np.float64)
+    source = np.asarray(source, dtype=np.float64)
+    mic = np.asarray(mic, dtype=np.float64)
+    max_dist = (length + KERNEL_HALF) * speed / rate
+    orders = np.ceil(max_dist / (2.0 * dims)).astype(int)
+    rx, ry, rz = np.meshgrid(*[np.arange(-o, o + 1) for o in orders], indexing="ij")
+    r_all = np.stack([rx.ravel(), ry.ravel(), rz.ravel()], axis=1).astype(np.float64)
+    h = np.zeros(length)
+    offs = np.arange(-KERNEL_HALF, KERNEL_HALF + 1)
+    for p in range(8):
+        pv = np.array([(p >> 2) & 1, (p >> 1) & 1, p & 1], dtype=np.float64)
+        pos = (1.0 - 2.0 * pv) * source + 2.0 * r_all * dims
+        dist = np.maximum(np.linalg.norm(pos - mic, axis=1), 1e-6)
+        refl = np.abs(r_all + pv).sum(axis=1) + np.abs(r_all).sum(axis=1)
+        amp = room.beta**refl / (4.0 * np.pi * dist)
+        delay = dist * rate / speed
+        keep = (delay < length + KERNEL_HALF) & (amp != 0.0)
+        if not np.any(keep):
+            continue
+        delay, amp = delay[keep], amp[keep]
+        base = round_half_away(delay).astype(np.int64)
+        t = base[:, None] + offs[None, :] - delay[:, None]
+        taps = amp[:, None] * np.sinc(t) * (0.5 * (1.0 + np.cos(np.pi * t / (KERNEL_HALF + 0.5))))
+        idx = base[:, None] + offs[None, :]
+        ok = (idx >= 0) & (idx < length)
+        h += np.bincount(idx[ok].ravel(), weights=taps[ok].ravel(), minlength=length)[:length]
+    return h
+
+
+def _category(dims):
+    return "large" if dims[0] == 20.0 else "medium" if dims[0] >= 10.0 else "small"
+
+
+def _assert_matches_oracle(room, source, mic, length, **kwargs):
+    h = image_rir(room, source, mic, RATE, length, **kwargs)
+    ref = _per_tap_rir(room, source, mic, RATE, length, **kwargs)
+    assert np.max(np.abs(h - ref)) <= 1e-15 * np.max(np.abs(ref))
+    return h
+
+
+def _assert_prefix_of_full(room, source, mic, length):
+    """The response is the first `length` samples of the full one, which matches the oracle.
+
+    For a response that holds only kernel tails (the direct arrival rounds past
+    its end) this replaces the oracle check: its peak is then a tap ~30 samples
+    from its image, where np.sinc's sin(pi*t) loses ~|t| ulp and the oracle is
+    the less accurate side.
+    """
+    full = _assert_matches_oracle(room, source, mic, RIR_LENGTH)
+    h = image_rir(room, source, mic, RATE, length)
+    assert np.array_equal(h, full[:length])
+    return h
+
+
+class TestImageRirOracle:
+    """The per-image kernel agrees with the per-tap formula to 1e-15 of the peak."""
+
+    def test_random_scenarios(self):
+        length, direct_inside, seen = 1024, 0, set()
+        for i in range(200):
+            sc = random_scenario((0.0, 0.3, 0.6)[i % 3], None, 0.05, (71, i))
+            seen.add(_category(sc.room.dims))
+            for mic in (sc.mic_a, sc.mic_b):
+                direct = np.linalg.norm(np.subtract(sc.source, mic)) * RATE / 343.0
+                if round_half_away(direct) < length:
+                    direct_inside += 1
+                    _assert_matches_oracle(sc.room, sc.source, mic, length)
+                else:
+                    _assert_prefix_of_full(sc.room, sc.source, mic, length)
+        assert seen == set(CATEGORIES)
+        assert direct_inside >= 380  # nearly every mic takes the direct oracle check
+
+    def test_one_full_length_scenario_per_category(self):
+        todo, i = set(CATEGORIES), 0
+        while todo:
+            sc = random_scenario(0.6, None, 0.05, (72, i))
+            i += 1
+            if _category(sc.room.dims) in todo:
+                todo.remove(_category(sc.room.dims))
+                for mic in (sc.mic_a, sc.mic_b):
+                    _assert_matches_oracle(sc.room, sc.source, mic, RIR_LENGTH)
+
+    def test_integer_delay_places_exactly_amp_without_warning(self):
+        room = RoomSpec(dims=(8.0, 9.0, 4.0), beta=0.0)
+        # 2 m at 320 m/s is exactly 100 samples
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = _assert_matches_oracle(room, [2.0, 3.0, 1.5], [4.0, 3.0, 1.5], 1024, speed=320.0)
+        assert h[100] == 1.0 / (4.0 * np.pi * 2.0)
+        assert np.count_nonzero(h) == 1
+
+    def test_direct_path_inside_kernel_half_clips_at_zero(self):
+        room = RoomSpec(dims=(6.0, 5.0, 3.0), beta=0.3)
+        source = np.array([2.0, 2.5, 1.4])
+        mic = source + np.array([10.3 * 343.0 / RATE, 0.0, 0.0])
+        h = _assert_matches_oracle(room, source, mic, RIR_LENGTH)
+        assert np.argmax(np.abs(h)) == 10 and h[0] != 0.0
+
+    @pytest.mark.parametrize("direct", [50.4, 80.4])
+    def test_short_response_clips_kernels_at_end(self, direct):
+        room = RoomSpec(dims=(6.0, 5.0, 3.0), beta=0.6)
+        source = np.array([2.0, 2.5, 1.4])
+        mic = source + np.array([0.0, direct * 343.0 / RATE, 0.0])
+        h = _assert_prefix_of_full(room, source, mic, 64)
+        if direct < 64:
+            _assert_matches_oracle(room, source, mic, 64)
+            assert np.argmax(np.abs(h)) == 50
+        else:
+            assert np.count_nonzero(h) == 64 - (80 - KERNEL_HALF)  # the direct kernel's tail
+
+    def test_anechoic_taps_only_around_direct_arrival(self):
+        room = RoomSpec(dims=(8.0, 9.0, 4.0), beta=0.0)
+        source = np.array([2.0, 3.0, 1.5])
+        mic = source + np.array([137.3 * 343.0 / RATE, 0.0, 0.0])
+        h = _assert_matches_oracle(room, source, mic, RIR_LENGTH)
+        assert np.array_equal(np.flatnonzero(h), np.arange(137 - KERNEL_HALF, 137 + KERNEL_HALF + 1))
 
 
 class TestSpeechLikeSource:

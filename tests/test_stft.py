@@ -97,6 +97,14 @@ class TestStftFrames:
             window_samples("hamming", 16)
 
     @pytest.mark.parametrize("kind", ["hann", "rect"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_window_length_below_one_rejected_and_not_cached(self, kind, n):
+        cached = window_samples.cache_info().currsize
+        with pytest.raises(ConfigurationError):
+            window_samples(kind, n)
+        assert window_samples.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("kind", ["hann", "rect"])
     def test_window_is_read_only_and_stable(self, kind):
         win = window_samples(kind, 512)
         assert not win.flags.writeable
