@@ -8,6 +8,12 @@ quantity: a correlation curve over the Q grid angles,
 - "mm"       evaluates it exactly as one complex matrix-vector product.
 - "fftNN"    zero-pads the spectrum by a factor i = NN, takes one real
              inverse FFT of length i*N, and reads the nearest lag per angle.
+             The readout touches only the lags within about i*max_lag of zero
+             (153 of 16384 at i=32), so where two complex FFTs of length
+             M >= N/2 + window - 1 cost less than the i*N irfft (4*M < i*N:
+             NN >= 8 at the defaults) the estimator computes just that lag
+             window by a chirp-z (Bluestein) transform; its cost then hardly
+             grows with NN. fft_correlate keeps the full padded transform.
 - "fftNN-qi" additionally corrects each read with a quadratic fit through
              the three neighboring lags, evaluated at the fractional offset.
 - "svd"      replaces the exact product with two skinny real products from
@@ -94,6 +100,44 @@ def _padded_lags(gs: np.ndarray, interp: int, x12: np.ndarray) -> np.ndarray:
     if interp == 1:
         buf[-1] = gs[-1] * x12[-1].real
     return np.fft.irfft(buf, i_n)
+
+
+def _chirp_length(bins: int, count: int) -> int:
+    """Circular-convolution length of the chirp-z window: the power of two >= bins + count - 1."""
+    return 1 << (bins + count - 2).bit_length()
+
+
+def _chirp_window(gains: np.ndarray, interp: int, lo: int,
+                  count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chirp-z (Bluestein) state (pre, FFT of the chirp filter, post) for the
+    padded lags lo .. lo+count-1 only.
+
+    Lag m = lo + l of the padded irfft is Re(sum_k g[k] X12[k] exp(j*th*k*m))
+    with th = 2*pi/(i*N): the irfft's 1/(i*N) and interior doubling cancel the
+    scaling of _padded_gains, so the pre-chirp carries g itself, and taking the
+    real part keeps only Re X12 at the edges. Writing k*l = (k^2 + l^2 - (l-k)^2)/2
+    turns the sum into a convolution with the chirp exp(-j*th*n^2/2); the
+    exponents are reduced mod 2*i*N in integers, so the phases stay exact.
+    """
+    bins = len(gains)
+    period = 2 * interp * (2 * (bins - 1))
+    m = _chirp_length(bins, count)
+
+    def chirp(e: np.ndarray) -> np.ndarray:
+        return np.exp((2j * np.pi / period) * (e % period))
+
+    k = np.arange(bins, dtype=np.int64)
+    n = np.arange(-(bins - 1), count, dtype=np.int64)
+    filt = np.zeros(m, dtype=np.complex128)
+    filt[n % m] = chirp(-n * n)
+    post = chirp(np.arange(count, dtype=np.int64) ** 2)
+    return gains * chirp(k * k + 2 * lo * k), np.fft.fft(filt), post
+
+
+def _chirp_lags(pre: np.ndarray, filt: np.ndarray, post: np.ndarray, x12: np.ndarray) -> np.ndarray:
+    """Lag samples of the chirp-z window: pre-chirp, one circular convolution, post-chirp."""
+    conv = np.fft.ifft(np.fft.fft(pre * x12, len(filt)) * filt)
+    return (conv[: len(post)] * post).real
 
 
 def _lag_table(taus: np.ndarray, params: GccParams, qi: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -221,11 +265,27 @@ class FftEstimator(_PreparedEstimator):
     def __init__(self, params: GccParams, qi: bool = False):
         super().__init__(params, f"fft{params.interp:02d}" + ("-qi" if qi else ""))
         self.qi = qi
-        self._gs = _padded_gains(normalization_gains(params.n), params.interp)
-        self._lags, self._weights = _lag_table(self.grid.taus, params, qi)
+        gains = normalization_gains(params.n)
+        lags, self._weights = _lag_table(self.grid.taus, params, qi)
+        i_n = params.interp * params.n
+        signed = (lags + i_n // 2) % i_n - i_n // 2
+        lo = int(signed.min())
+        count = int(signed.max()) - lo + 1
+        # two length-M complex FFTs against one i*N/2-point complex FFT
+        if 4 * _chirp_length(self._bins, count) < i_n:
+            self._chirp = _chirp_window(gains, params.interp, lo, count)
+            self._lags = signed - lo
+        else:
+            self._chirp = None
+            self._gs = _padded_gains(gains, params.interp)
+            self._lags = lags
 
     def _curve(self, x12: np.ndarray) -> np.ndarray:
-        return _read_lags(_padded_lags(self._gs, self.params.interp, x12), self._lags, self._weights)
+        if self._chirp is None:
+            samples = _padded_lags(self._gs, self.params.interp, x12)
+        else:
+            samples = _chirp_lags(*self._chirp, x12)
+        return _read_lags(samples, self._lags, self._weights)
 
 
 class SvdEstimator(_PreparedEstimator):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .core import round_half_away
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 
 CATEGORY_BOUNDS = {
     "small": ((5.0, 10.0), (5.0, 10.0), (3.0, 5.0)),
@@ -45,8 +45,9 @@ class RoomSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta < 1.0:
             raise ConfigurationError(f"reflection coefficient must be in [0, 1), got {self.beta}")
-        if any(x <= 0 for x in self.dims):
-            raise ConfigurationError(f"room dimensions must be positive, got {self.dims}")
+        # written so that NaN fails: every comparison with NaN is False
+        if not all(0 < x < np.inf for x in self.dims):
+            raise ConfigurationError(f"room dimensions must be positive and finite, got {self.dims}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,8 @@ def pair_doa(mic_a, mic_b, source) -> float:
 
 def place_pair_and_source(room: RoomSpec, d: float, rng: np.random.Generator):
     """Random pair center/axis and source inside the clearance-shrunk room."""
+    if not 0 < d < np.inf:
+        raise ConfigurationError(f"microphone spacing must be positive and finite, got {d}")
     dims = np.asarray(room.dims)
     center_lo = WALL_CLEARANCE + 0.5 * d
     center_hi = dims - center_lo
@@ -217,8 +220,10 @@ def speech_like_source(duration_s: float, rate: int, rng: np.random.Generator) -
     White noise is tilted to be flat up to 500 Hz and fall 6 dB/octave above,
     then modulated at a syllabic rate with random phase.
     """
-    if duration_s <= 0:
-        raise ConfigurationError(f"duration must be positive, got {duration_s}")
+    if not 0 < duration_s < np.inf:
+        raise ConfigurationError(f"duration must be positive and finite, got {duration_s}")
+    if not 0 < rate < np.inf:
+        raise ConfigurationError(f"sample rate must be positive and finite, got {rate}")
     n = max(int(round(duration_s * rate)), 2)
     x = rng.standard_normal(n)
     freqs = np.fft.rfftfreq(n, 1.0 / rate)
@@ -239,6 +244,8 @@ def render(scenario: Scenario, source_signal: np.ndarray, rate: int = 16000,
     from the scenario's own seed path, so rendering is bit-reproducible.
     """
     source_signal = np.asarray(source_signal, dtype=np.float64)
+    if not np.isfinite(source_signal).all():
+        raise InputError("source signal holds a non-finite sample (NaN or inf)")
     if source_signal.size == 0 or not np.any(source_signal):
         raise ConfigurationError("source signal is silent")
     channels = []

@@ -1,11 +1,15 @@
 """Back-end correctness: oracles, frozen arithmetic, and cross-method properties."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gccdoa.core import AngularGrid, GccParams, normalization_gains, steering_matrix, theta_grid
 from gccdoa.errors import ConfigurationError, DimensionError, InputError
+from gccdoa.evaluation import DEFAULT_BENCH_SEED
 from gccdoa.estimators import (DoaEstimate, FftEstimator, InterpolatedLags,
                                MatrixEstimator, SvdEstimator, build_estimator,
                                fft_correlate, map_lags, method_names,
@@ -374,3 +378,91 @@ class TestMethodRegistry:
         est = build_estimator("fft08-qi", TABLE)
         assert est.params.interp == 8 and est.qi
         assert est.name == "fft08-qi"
+
+
+def _bench_batch(params: GccParams, count: int) -> np.ndarray:
+    """The run_bench batch: unit-modulus frames drawn from the default bench seed."""
+    rng = np.random.default_rng(DEFAULT_BENCH_SEED)
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(count, params.half_bins)))
+
+
+class TestChirpWindow:
+    """The prepared fftNN/fftNN-qi estimators against the full padded irfft."""
+
+    def _check_against_padded_irfft(self, params: GccParams, frames: np.ndarray) -> None:
+        grid = theta_grid(params)
+        plain, quad = FftEstimator(params), FftEstimator(params, qi=True)
+        for x in frames:
+            y = fft_correlate(x, params)
+            for est, curve in ((plain, map_lags(y, grid, params)), (quad, qi_correlate(y, grid, params))):
+                ref = pick_peak(curve, grid)
+                e = est.estimate(x)
+                assert e.q_max == ref.q_max
+                assert abs(e.energy - ref.energy) <= 1e-12 * np.max(np.abs(curve))
+
+    @pytest.mark.parametrize("interp", [1, 2, 4, 8, 16, 32])
+    def test_matches_padded_irfft_on_the_bench_batch(self, interp):
+        params = GccParams(interp=interp)
+        self._check_against_padded_irfft(params, _bench_batch(params, 2000))
+
+    @pytest.mark.parametrize("base", [GccParams(dist=0.2, q=91), GccParams(n=256)])
+    @pytest.mark.parametrize("interp", [4, 8, 16, 32])
+    def test_matches_padded_irfft_off_the_defaults(self, base, interp):
+        params = replace(base, interp=interp)
+        self._check_against_padded_irfft(params, _bench_batch(params, 200))
+
+    def test_whole_curve_matches_padded_irfft(self):
+        params = GccParams(interp=32)
+        grid = theta_grid(params)
+        est = FftEstimator(params, qi=True)
+        for x in unit_modulus_batch(20, seed=45):
+            ref = qi_correlate(fft_correlate(x, params), grid, params)
+            assert np.max(np.abs(est._curve(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_chirp_z_only_where_two_short_ffts_are_cheaper(self):
+        # 4*M < i*N with M = 512 at the defaults: the irfft for i <= 4, chirp-z from i = 8
+        for interp in (1, 2, 4, 8, 16, 32):
+            for qi in (False, True):
+                est = FftEstimator(GccParams(interp=interp), qi=qi)
+                assert (est._chirp is not None) == (interp >= 8)
+                if est._chirp is not None:
+                    assert len(est._chirp[1]) == 512
+
+    def test_edge_bins_use_real_part_only(self):
+        params = GccParams(interp=16)
+        est = FftEstimator(params)
+        x = unit_modulus_batch(1, seed=46)[0]
+        nudged = x.copy()
+        nudged[0] = x[0].real + 5j
+        assert est._curve(nudged) == pytest.approx(est._curve(x), abs=1e-12)
+
+
+_WIDEST_DELAY_STEP = float(np.max(np.diff(GRID.taus)))
+_PROPERTY_ESTIMATORS = {name: build_estimator(name, TABLE)
+                        for name in ["mm", "svd"] + [f"fft{i:02d}-qi" for i in (2, 4, 8, 16, 32)]}
+
+
+class TestAgreementWithMmOnFractionalDelays:
+    """Random fractional delays: the cheap back-ends' peaks stay next to mm's.
+
+    Near endfire the grid's delays crowd (their spacing shrinks as cos theta),
+    so a small delay error spans several grid indices there; fft02-qi and
+    fft04-qi are held to one step of delay, the widest one, at broadside.
+    """
+
+    @pytest.mark.parametrize("name", ["svd", "fft08-qi", "fft16-qi", "fft32-qi"])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(frac=st.floats(-1.0, 1.0))
+    def test_within_one_grid_index_of_mm(self, name, frac):
+        x = synthetic_spectrum(frac * TABLE.max_lag)
+        q_mm = _PROPERTY_ESTIMATORS["mm"].estimate(x).q_max
+        assert abs(_PROPERTY_ESTIMATORS[name].estimate(x).q_max - q_mm) <= 1
+
+    @pytest.mark.parametrize("name", ["svd", "fft02-qi", "fft04-qi", "fft08-qi", "fft16-qi", "fft32-qi"])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(frac=st.floats(-1.0, 1.0))
+    def test_within_one_delay_step_of_mm(self, name, frac):
+        x = synthetic_spectrum(frac * TABLE.max_lag)
+        q_mm = _PROPERTY_ESTIMATORS["mm"].estimate(x).q_max
+        q = _PROPERTY_ESTIMATORS[name].estimate(x).q_max
+        assert abs(GRID.taus[q] - GRID.taus[q_mm]) <= _WIDEST_DELAY_STEP

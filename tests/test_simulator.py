@@ -6,7 +6,7 @@ import pytest
 from scipy.signal import fftconvolve
 
 from gccdoa.core import round_half_away
-from gccdoa.errors import ConfigurationError
+from gccdoa.errors import ConfigurationError, InputError
 from gccdoa.simulator import (CATEGORIES, CATEGORY_BOUNDS, KERNEL_HALF, RIR_LENGTH,
                               WALL_CLEARANCE, RoomSpec, Scenario, image_rir,
                               pair_doa, place_pair_and_source, random_scenario,
@@ -375,3 +375,38 @@ class TestManifest:
     def test_null_snr_survives(self):
         sc = _tiny_scenario(snr_db=None)
         assert scenario_from_json(scenario_to_json(sc)).snr_db is None
+
+
+class TestNonFiniteInputsRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_room_dimensions(self, bad):
+        for dims in ((bad, 5.0, 3.0), (5.0, bad, 3.0), (5.0, 5.0, bad)):
+            with pytest.raises(ConfigurationError):
+                RoomSpec(dims=dims, beta=0.3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_render_source_signal(self, bad):
+        sig = np.random.default_rng(12).standard_normal(1000)
+        sig[500] = bad
+        with pytest.raises(InputError):
+            render(_tiny_scenario(), sig, RATE, length=512)
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf, -1.0])
+    def test_speech_like_source_duration(self, duration):
+        with pytest.raises(ConfigurationError):
+            speech_like_source(duration, RATE, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("rate", [0, -16000, np.nan, np.inf])
+    def test_speech_like_source_rate(self, rate):
+        with pytest.raises(ConfigurationError):
+            speech_like_source(1.0, rate, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d", [np.nan, np.inf, 0.0, -0.05])
+    def test_random_scenario_spacing(self, d):
+        with pytest.raises(ConfigurationError):
+            random_scenario(0.3, 25.0, d, (42, 0))
+
+    def test_place_pair_and_source_spacing(self):
+        room = RoomSpec(dims=(6.0, 5.0, 3.5), beta=0.0)
+        with pytest.raises(ConfigurationError):
+            place_pair_and_source(room, -0.05, np.random.default_rng(0))
