@@ -51,6 +51,31 @@ def cmd_factorize(args) -> int:
     return 0
 
 
+# frames per block of `gccdoa estimate`: its arrays are (_BLOCK x n/2+1) however
+# long the recording is, and each block's NDJSON lines go out in one write
+_BLOCK = 128
+
+
+def _ndjson_block(est, ch1, ch2, first, count, n, hop, window) -> tuple[str, int]:
+    """NDJSON lines of frames [first, first + count) and how many of them are silent.
+
+    Each line is what json.dumps({"frame", "theta_deg", "energy"}) writes: the
+    values go through json.dumps as one list per block, not one dict per frame.
+    """
+    span = slice(first * hop, (first + count - 1) * hop + n)
+    frames = cross_spectrum(stft_frames(ch1[span], n, hop, window),
+                            stft_frames(ch2[span], n, hop, window))
+    estimates = [est.estimate(frame) for frame in frames]
+    # an all-zero PHAT frame (digital silence) has no direction: theta_deg is null
+    silent = (~frames.any(axis=1)).tolist()
+    degrees = np.degrees([e.theta_est for e in estimates]).tolist()
+    thetas = json.dumps([None if quiet else t for t, quiet in zip(degrees, silent)])
+    energies = json.dumps([e.energy for e in estimates])
+    lines = [f'{{"frame": {i}, "theta_deg": {t}, "energy": {e}}}\n' for i, t, e in
+             zip(range(first, first + count), thetas[1:-1].split(", "), energies[1:-1].split(", "))]
+    return "".join(lines), sum(silent)
+
+
 def cmd_estimate(args) -> int:
     params = _params(args)
     factors = None
@@ -60,17 +85,19 @@ def cmd_estimate(args) -> int:
         factors = factorization.load_factors(args.factors)
     est = build_estimator(args.method, params, factors)
     ch1, ch2 = audio.read_stereo_wav(args.wav, params.rate)
-    x1 = stft_frames(ch1, params.n, params.hop, args.window)
-    x2 = stft_frames(ch2, params.n, params.hop, args.window)
-    frames = cross_spectrum(x1, x2)
-    # an all-zero PHAT frame (digital silence) has no direction: theta_deg is null
-    silent = ~frames.any(axis=1)
+    n, hop = params.n, params.hop
+    # a recording shorter than n still makes one block, whose stft_frames call
+    # raises; it does so before the output file is opened
+    total = max((len(ch1) - n) // hop + 1, 1)
+    blocks = (_ndjson_block(est, ch1, ch2, b0, min(_BLOCK, total - b0), n, hop, args.window)
+              for b0 in range(0, total, _BLOCK))
+    text, silent = next(blocks)
     with open(args.out, "w") as fh:
-        for i, (frame, quiet) in enumerate(zip(frames, silent)):
-            e = est.estimate(frame)
-            theta = None if quiet else float(np.degrees(e.theta_est))
-            fh.write(json.dumps({"frame": i, "theta_deg": theta, "energy": e.energy}) + "\n")
-    print(f"{len(frames)} frames ({int(silent.sum())} silent) -> {args.out}")
+        fh.write(text)
+        for text, quiet in blocks:
+            fh.write(text)
+            silent += quiet
+    print(f"{total} frames ({silent} silent) -> {args.out}")
     return 0
 
 

@@ -122,6 +122,8 @@ def load_factors(source) -> LowRankFactors:
         if not 1 <= k <= limit:
             raise FormatError(f"{name}={k} outside [1, min(Q, N/2+1)] = [1, {limit}]")
     (delta,) = struct.unpack_from("<d", raw, len(MAGIC) + 20)
+    if not 0.0 < delta < 1.0:  # False for NaN as well
+        raise FormatError(f"delta={delta} outside (0, 1)")
     shapes = [(q, k_r), (k_r, half_bins), (q, k_i), (k_i, half_bins)]
     expected = head_len + 8 * sum(r * c for r, c in shapes)
     if len(raw) != expected:
@@ -132,5 +134,7 @@ def load_factors(source) -> LowRankFactors:
         count = r * c
         mats.append(np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(r, c))
         offset += 8 * count
+    if not all(np.isfinite(m).all() for m in mats):
+        raise FormatError("matrix payload holds a non-finite entry (NaN or inf)")
     u_r, t_r, u_i, t_i = (m.astype(np.float64) for m in mats)
     return LowRankFactors(u_r=u_r, t_r=t_r, u_i=u_i, t_i=t_i, k_r=k_r, k_i=k_i, delta=delta)

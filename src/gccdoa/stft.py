@@ -62,7 +62,11 @@ def cross_spectrum(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     x2 = np.asarray(x2)
     if x1.shape != x2.shape:
         raise DimensionError(f"spectrum shapes differ: {x1.shape} vs {x2.shape}")
-    prod = x1 * np.conj(x2)
+    # always x1 * conj(x2), in that operand order: `x1 * np.conj(x2)` lets numpy
+    # reuse the conj temporary from 256 KiB on and compute conj(x2) * x1, which
+    # FMA code rounds differently, so a frame's value would depend on batch size
+    prod = np.conj(x2, out=np.empty(x1.shape, np.result_type(x1, x2)))
+    np.multiply(x1, prod, out=prod)
     mag = np.abs(x1) * np.abs(x2)
     voiced = mag >= MAG_FLOOR  # False for NaN as well as for silence
     if voiced.all():

@@ -5,8 +5,11 @@ import wave
 import numpy as np
 import pytest
 
-from gccdoa import audio, factorization
+from gccdoa import audio, cli, factorization
 from gccdoa.cli import main
+from gccdoa.core import GccParams, steering_matrix, theta_grid
+from gccdoa.estimators import build_estimator
+from gccdoa.stft import cross_spectrum, stft_frames
 
 
 def _write_wav(path, ch1, ch2, rate=16000):
@@ -129,6 +132,76 @@ class TestEstimate:
         rc = main(["estimate", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "x.ndjson")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestBlockedEstimate:
+    """`gccdoa estimate` walks the recording in blocks of cli._BLOCK frames."""
+
+    FRAMES = 2 * cli._BLOCK + 37
+
+    @pytest.fixture(scope="class")
+    def gap_wav(self, tmp_path_factory):
+        """Noise with a 2-sample inter-channel delay, and digital silence over
+        the frames around the first block boundary."""
+        rng = np.random.default_rng(23)
+        sig = rng.standard_normal((self.FRAMES - 1) * 160 + 512 + 2) * 0.2
+        boundary = 160 * cli._BLOCK
+        sig[boundary - 1500:boundary + 2500] = 0.0
+        path = tmp_path_factory.mktemp("blocked") / "gap.wav"
+        _write_wav(path, sig[2:], sig[:-2])
+        return path
+
+    @staticmethod
+    def _whole_recording_lines(wav, method, factors=None):
+        """The NDJSON of one whole-recording batch and a json.dumps per frame."""
+        params = GccParams()
+        est = build_estimator(method, params, factors)
+        ch1, ch2 = audio.read_stereo_wav(wav, params.rate)
+        frames = cross_spectrum(stft_frames(ch1, 512, 160), stft_frames(ch2, 512, 160))
+        lines = []
+        for i, frame in enumerate(frames):
+            e = est.estimate(frame)
+            theta = None if not frame.any() else float(np.degrees(e.theta_est))
+            lines.append(json.dumps({"frame": i, "theta_deg": theta, "energy": e.energy}) + "\n")
+        return "".join(lines)
+
+    @pytest.mark.parametrize("method", ["mm", "svd", "fft02-qi", "fft32-qi"])
+    def test_equals_whole_recording_json_dumps(self, tmp_path, gap_wav, method, capsys):
+        argv = ["estimate", str(gap_wav), "--method", method, "--out", str(tmp_path / "e.ndjson")]
+        factors = None
+        if method == "svd":
+            assert main(["factorize", "--out", str(tmp_path / "w.gsvd")]) == 0
+            factors = factorization.load_factors(tmp_path / "w.gsvd")
+            argv += ["--factors", str(tmp_path / "w.gsvd")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        got = (tmp_path / "e.ndjson").read_text()
+        expected = self._whole_recording_lines(gap_wav, method, factors)
+        assert got == expected
+        rows = [json.loads(line) for line in expected.splitlines()]
+        silent = [r["frame"] for r in rows if r["theta_deg"] is None]
+        assert len(rows) == self.FRAMES
+        assert cli._BLOCK - 1 in silent and cli._BLOCK in silent
+        assert capsys.readouterr().out == (
+            f"{self.FRAMES} frames ({len(silent)} silent) -> {tmp_path / 'e.ndjson'}\n")
+
+    @pytest.mark.parametrize("block", [1, 37, 10_000])
+    def test_output_does_not_depend_on_block_size(self, tmp_path, gap_wav, block, monkeypatch):
+        reference = tmp_path / "ref.ndjson"
+        assert main(["estimate", str(gap_wav), "--method", "fft02-qi", "--out", str(reference)]) == 0
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        out = tmp_path / "e.ndjson"
+        assert main(["estimate", str(gap_wav), "--method", "fft02-qi", "--out", str(out)]) == 0
+        assert out.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("samples", [1, 511])
+    def test_recording_shorter_than_a_frame(self, tmp_path, samples, capsys):
+        wav = tmp_path / "short.wav"
+        _write_wav(wav, np.full(samples, 0.1), np.full(samples, 0.1))
+        out = tmp_path / "e.ndjson"
+        assert main(["estimate", str(wav), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: signal has {samples} samples, need at least n=512\n"
+        assert not out.exists()
 
 
 class TestSimulate:

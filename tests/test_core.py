@@ -1,6 +1,8 @@
 """Grid, gains, and steering matrix: frozen values and exactness properties."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gccdoa.core import (GccParams, normalization_gains, steering_matrix,
                          theta_grid)
@@ -59,6 +61,14 @@ class TestThetaGrid:
         g = theta_grid(TABLE)
         assert np.array_equal(g.taus, -g.taus[::-1])
         assert np.array_equal(g.thetas, -g.thetas[::-1])
+
+    # spacing up to just below the n/2 = 256-sample lag limit at the defaults (5.488 m)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(q=st.integers(2, 4000), dist=st.floats(1e-4, 5.48))
+    def test_symmetry_is_exact_for_random_grids(self, q, dist):
+        g = theta_grid(GccParams(q=q, dist=dist))
+        assert np.array_equal(g.thetas, -g.thetas[::-1])
+        assert np.array_equal(g.taus, -g.taus[::-1])
 
     def test_arrays_are_immutable(self):
         g = theta_grid(TABLE)

@@ -1,6 +1,10 @@
 """Steering split, rank selection, factor invariants, and the file format."""
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gccdoa.core import GccParams, steering_matrix, theta_grid
 from gccdoa.errors import DimensionError, FormatError, NumericalError
@@ -179,3 +183,62 @@ class TestFactorFile:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_factors(tmp_path / "nonexistent.gsvd")
+
+    @pytest.mark.parametrize("delta", [-1e-5, 0.0, 1.0, 3.5, np.inf, np.nan])
+    def test_delta_outside_unit_interval_rejected(self, tmp_path, delta):
+        path = tmp_path / "factors.gsvd"
+        save_factors(factorize(W, 1e-5), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, len(MAGIC) + 20, delta)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="delta"):
+            load_factors(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_non_finite_entry_rejected(self, tmp_path, value, entry):
+        path = tmp_path / "factors.gsvd"
+        save_factors(factorize(W, 1e-5), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, len(data) - 8 if entry else len(MAGIC) + 28, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_factors(path)
+
+
+# a small factor file keeps the corruption properties fast
+SMALL = GccParams(q=7, n=8, hop=4, dist=0.01)
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    """A valid factor file's bytes, and a path to write corrupted copies to."""
+    path = tmp_path_factory.mktemp("corrupt") / "factors.gsvd"
+    save_factors(factorize(steering_matrix(SMALL, theta_grid(SMALL)), 1e-5), path)
+    return path.read_bytes(), path
+
+
+class TestCorruptFactorFile:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_truncation_raises_format_error(self, small_file, data):
+        raw, path = small_file
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(FormatError):
+            load_factors(path)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bit_flip_raises_or_loads_sound_factors(self, small_file, data):
+        raw, path = small_file
+        flipped = bytearray(raw)
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        try:
+            f = load_factors(path)
+        except FormatError:
+            return
+        assert 0.0 < f.delta < 1.0
+        for m in (f.u_r, f.t_r, f.u_i, f.t_i):
+            assert np.isfinite(m).all()

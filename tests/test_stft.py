@@ -218,6 +218,23 @@ class TestCrossSpectrum:
         self._assert_matches_masked(x1, x2)
         self._assert_matches_masked(x1, x2.astype(np.complex128))
 
+    def test_batch_equals_its_frames_bit_for_bit(self):
+        # 300 frames: past the 256 KiB at which numpy may reuse a temporary
+        # and change the operand order of the complex product
+        x1, x2 = self._spectra((300, 257))
+        x1[40:50] = 0.0
+        batch = cross_spectrum(x1, x2)
+        assert np.array_equal(batch, [cross_spectrum(a, b) for a, b in zip(x1, x2)])
+
+    @pytest.mark.parametrize("dtypes", [(np.complex64, np.complex128),
+                                        (np.complex128, np.complex64)])
+    def test_mixed_precision_promotes(self, dtypes):
+        x1, x2 = self._spectra((3, 257))
+        x1, x2 = x1.astype(dtypes[0]), x2.astype(dtypes[1])
+        got = cross_spectrum(x1, x2)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, masked_cross(x1, x2))
+
     def test_integer_delay_phase_ramp(self):
         # x2 = x1 circularly delayed by D -> angle(X12[k]) = 2*pi*k*D/N
         rng = np.random.default_rng(4)
