@@ -5,23 +5,29 @@ import wave
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, FormatError, InputError
 
 
 def read_stereo_wav(path, expected_rate: int) -> tuple[np.ndarray, np.ndarray]:
     """Two float channels in [-1, 1), normalized by 32768.
 
     The file must be 2-channel 16-bit PCM at exactly expected_rate; anything
-    else is rejected rather than resampled.
+    else is rejected rather than resampled. A file that is not a PCM WAV, or
+    that ends before the samples its header declares, raises FormatError.
     """
-    with wave.open(str(path), "rb") as wf:
-        if wf.getnchannels() != 2:
-            raise InputError(f"{path}: expected 2 channels, got {wf.getnchannels()}")
-        if wf.getsampwidth() != 2:
-            raise InputError(f"{path}: expected 16-bit PCM (width 2), got width {wf.getsampwidth()}")
-        if wf.getframerate() != expected_rate:
-            raise InputError(f"{path}: sample rate {wf.getframerate()}, expected {expected_rate}")
-        raw = wf.readframes(wf.getnframes())
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getnchannels() != 2:
+                raise InputError(f"{path}: expected 2 channels, got {wf.getnchannels()}")
+            if wf.getsampwidth() != 2:
+                raise InputError(f"{path}: expected 16-bit PCM (width 2), got width {wf.getsampwidth()}")
+            if wf.getframerate() != expected_rate:
+                raise InputError(f"{path}: sample rate {wf.getframerate()}, expected {expected_rate}")
+            raw = wf.readframes(wf.getnframes())
+            if len(raw) != 4 * wf.getnframes():
+                raise FormatError(f"{path}: cut short, {len(raw)} of {4 * wf.getnframes()} sample bytes")
+    except (EOFError, wave.Error) as exc:
+        raise FormatError(f"{path}: not a PCM WAV file ({str(exc) or 'ends in its header'})") from None
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return data[0::2], data[1::2]
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -10,40 +11,53 @@ import numpy as np
 
 from . import audio, evaluation, factorization, simulator
 from .core import GccParams, steering_matrix, theta_grid
-from .errors import (ConfigurationError, DimensionError, FormatError,
-                     InputError, NumericalError)
+from .errors import ConfigurationError, DimensionError, FormatError, InputError, NumericalError
 from .estimators import build_estimator, method_names, parse_method
 from .stft import cross_spectrum, stft_frames
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, default=181, help="grid angle count")
-    p.add_argument("--n", type=int, default=512, help="STFT frame size")
-    p.add_argument("--hop", type=int, default=160, help="hop size in samples")
-    p.add_argument("--dist", type=float, default=0.05, help="microphone spacing (m)")
-    p.add_argument("--speed", type=float, default=343.0, help="speed of sound (m/s)")
-    p.add_argument("--rate", type=int, default=16000, help="sample rate (Hz)")
-    p.add_argument("--delta", type=float, default=1e-5, help="SVD reconstruction tolerance")
+# help text of the GccParams fields a subcommand may take as flags; type and default: GccParams()
+_PARAM_HELP = {"q": "grid angle count", "n": "STFT frame size", "hop": "hop size in samples",
+               "dist": "microphone spacing (m)", "speed": "speed of sound (m/s)",
+               "rate": "sample rate (Hz)", "delta": "SVD reconstruction tolerance"}
 
 
-def _params(args) -> GccParams:
-    return GccParams(q=args.q, n=args.n, hop=args.hop, dist=args.dist,
-                     speed=args.speed, rate=args.rate, delta=args.delta)
+def _add_param_flags(p: argparse.ArgumentParser, names) -> None:
+    """Flags for the GccParams fields that the subcommand reads, and no others."""
+    defaults = GccParams()
+    for name in names:
+        value = getattr(defaults, name)
+        p.add_argument(f"--{name}", type=type(value), default=value, help=_PARAM_HELP[name])
+
+
+def _params(args, **fixed) -> GccParams:
+    """GccParams from the subcommand's flags and ``fixed``; the rest keep their defaults."""
+    return GccParams(**{k: v for k, v in vars(args).items() if k in _PARAM_HELP}, **fixed)
+
+
+def _split(spec: str, flag: str, item=str) -> list:
+    """Stripped, non-blank entries of a comma-separated flag value, each passed through item."""
+    try:
+        items = [item(x.strip()) for x in spec.split(",") if x.strip()]
+    except ValueError:
+        raise InputError(f"{flag} {spec!r}: every entry must be a number") from None
+    if not items:
+        raise InputError(f"{flag} {spec!r}: empty list")
+    return items
 
 
 def _method_list(spec: str) -> list[str]:
-    names = [m.strip() for m in spec.split(",") if m.strip()] if spec != "all" else method_names()
-    if not names:
-        raise InputError("empty method list")
+    names = method_names() if spec == "all" else _split(spec, "--methods")
     for name in names:
         parse_method(name)
     return names
 
 
 def cmd_factorize(args) -> int:
-    params = _params(args)
+    # nothing here reads the hop; hop = n is valid for every n
+    params = _params(args, hop=args.n)
     w = steering_matrix(params, theta_grid(params))
-    factors = factorization.factorize(w, args.delta)
+    factors = factorization.factorize(w, params.delta)
     factorization.save_factors(factors, args.out)
     rr, ri = factorization.reconstruction_ratios(factors, w)
     print(f"K_R={factors.k_r} K_I={factors.k_i} "
@@ -78,11 +92,9 @@ def _ndjson_block(est, ch1, ch2, first, count, n, hop, window) -> tuple[str, int
 
 def cmd_estimate(args) -> int:
     params = _params(args)
-    factors = None
-    if args.method == "svd":
-        if not args.factors:
-            raise InputError("method 'svd' needs --factors FILE (run factorize first)")
-        factors = factorization.load_factors(args.factors)
+    if args.method == "svd" and not args.factors:
+        raise InputError("method 'svd' needs --factors FILE (run factorize first)")
+    factors = factorization.load_factors(args.factors) if args.method == "svd" else None
     est = build_estimator(args.method, params, factors)
     ch1, ch2 = audio.read_stereo_wav(args.wav, params.rate)
     n, hop = params.n, params.hop
@@ -102,49 +114,37 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = _params(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenarios = []
-    for i in range(args.configs):
-        sc = simulator.random_scenario(args.beta, args.snr, params.dist, (args.seed, i))
-        scenarios.append(sc)
-        if args.write_wavs:
-            signal = simulator.speech_like_source(
-                args.duration, params.rate, simulator.stream_rng(sc.seed, simulator.SOURCE_STREAM))
-            pair = simulator.render(sc, signal, params.rate)
-            audio.write_stereo_wav(out_dir / f"scenario_{i:04d}.wav", pair.ch1, pair.ch2, params.rate)
+    scenarios = [simulator.random_scenario(args.beta, args.snr, args.dist, (args.seed, i))
+                 for i in range(args.configs)]
+    for i, sc in enumerate(scenarios if args.write_wavs else []):
+        signal = simulator.speech_like_source(
+            args.duration, args.rate, simulator.stream_rng(sc.seed, simulator.SOURCE_STREAM))
+        pair = simulator.render(sc, signal, args.rate)
+        audio.write_stereo_wav(out_dir / f"scenario_{i:04d}.wav", pair.ch1, pair.ch2, args.rate)
     manifest = out_dir / "scenarios.jsonl"
     simulator.write_manifest(scenarios, manifest)
     print(f"{len(scenarios)} scenarios -> {manifest}")
     return 0
 
 
-def _float_list(spec: str) -> list[float]:
-    return [float(x) for x in spec.split(",") if x.strip()]
-
-
 def cmd_evaluate(args) -> int:
-    params = _params(args)
     methods = _method_list(args.methods)
-    cells = [(b, s) for b in _float_list(args.betas) for s in _float_list(args.snrs)]
+    cells = [(b, s) for b in _split(args.betas, "--betas", float)
+             for s in _split(args.snrs, "--snrs", float)]
     reports = evaluation.run_accuracy_sweep(methods, cells, args.configs, args.seed,
-                                            params=params, duration_s=args.duration)
+                                            params=_params(args), duration_s=args.duration)
     evaluation.emit_reports(reports, args.out)
     print(f"{len(reports)} rows -> {args.out}")
-    if args.check:
-        failures = 0
-        for name, passed, detail in evaluation.check_accuracy_reports(reports, cells):
-            print(f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})")
-            failures += 0 if passed else 1
-        return 1 if failures else 0
-    return 0
+    verdicts = evaluation.check_accuracy_reports(reports, cells) if args.check else []
+    for name, passed, detail in verdicts:
+        print(f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})")
+    return 0 if all(passed for _, passed, _ in verdicts) else 1
 
 
 def cmd_bench(args) -> int:
-    params = _params(args)
-    methods = _method_list(args.methods)
-    reports = evaluation.run_bench(methods, args.frames, params=params,
+    reports = evaluation.run_bench(_method_list(args.methods), args.frames, params=_params(args),
                                    warmup=args.warmup, seed=args.seed)
     evaluation.emit_reports(reports, args.out)
     for r in reports:
@@ -153,18 +153,19 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gccdoa",
-                                     description="Two-microphone GCC-PHAT DOA toolkit")
+    """The gccdoa parser, built once per process; parse_args keeps no state in it."""
+    parser = argparse.ArgumentParser(prog="gccdoa", description="Two-microphone GCC-PHAT DOA toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factorize", help="build and save low-rank steering factors")
-    _add_param_flags(p)
+    _add_param_flags(p, ("q", "n", "dist", "speed", "rate", "delta"))
     p.add_argument("--out", default="factors.gsvd", help="factor file destination")
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("estimate", help="per-frame DOA estimates from a stereo WAV")
-    _add_param_flags(p)
+    _add_param_flags(p, ("q", "n", "hop", "dist", "speed", "rate"))
     p.add_argument("wav", help="2-channel 16-bit PCM WAV at --rate")
     p.add_argument("--method", default="mm", help="one of: " + ", ".join(method_names()))
     p.add_argument("--factors", default=None, help="factor file (required for svd)")
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="generate random scenarios (and optional WAVs)")
-    _add_param_flags(p)
+    _add_param_flags(p, ("dist", "rate"))
     p.add_argument("--configs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--beta", type=float, default=0.0, help="wall reflection coefficient")
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("evaluate", help="accuracy sweep over (beta, SNR) cells")
-    _add_param_flags(p)
+    _add_param_flags(p, _PARAM_HELP)
     p.add_argument("--methods", default="mm,fft01,fft02-qi")
     p.add_argument("--betas", default="0,0.6")
     p.add_argument("--snrs", default="40,10")
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="per-frame execution time of the back-ends")
-    _add_param_flags(p)
+    _add_param_flags(p, _PARAM_HELP)
     p.add_argument("--methods", default="all")
     p.add_argument("--frames", type=int, default=2000)
     p.add_argument("--warmup", type=int, default=100)
@@ -211,8 +212,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, DimensionError, FormatError, InputError,
-            NumericalError, OSError) as exc:
+    except (ConfigurationError, DimensionError, FormatError, InputError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

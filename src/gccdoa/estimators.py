@@ -28,7 +28,6 @@ their own scratch and are reentrant.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -316,30 +315,23 @@ class SvdEstimator(_PreparedEstimator):
         return _svd_apply(self._u, self._t_il, x12)
 
 
-_FFT_NAME = re.compile(r"fft(\d{2})(-qi)?\Z")
+# name -> (kind, interp, qi), in roster order
+_METHODS = {"mm": ("mm", 1, False),
+            **{f"fft{i:02d}": ("fft", i, False) for i in ALLOWED_INTERP},
+            **{f"fft{i:02d}-qi": ("fft", i, True) for i in ALLOWED_INTERP},
+            "svd": ("svd", 1, False)}
 
 
 def method_names() -> list[str]:
     """All 14 back-end names in roster order."""
-    names = ["mm"]
-    names += [f"fft{i:02d}" for i in ALLOWED_INTERP]
-    names += [f"fft{i:02d}-qi" for i in ALLOWED_INTERP]
-    names.append("svd")
-    return names
+    return list(_METHODS)
 
 
 def parse_method(name: str) -> tuple[str, int, bool]:
     """Split a method name into (kind, interp, qi); rejects unknown names."""
-    if name == "mm":
-        return "mm", 1, False
-    if name == "svd":
-        return "svd", 1, False
-    m = _FFT_NAME.match(name)
-    if m:
-        interp = int(m.group(1))
-        if interp in ALLOWED_INTERP:
-            return "fft", interp, m.group(2) is not None
-    raise InputError(f"unknown method {name!r}; expected one of {', '.join(method_names())}")
+    if name not in _METHODS:
+        raise InputError(f"unknown method {name!r}; expected one of {', '.join(_METHODS)}")
+    return _METHODS[name]
 
 
 def build_estimator(name: str, params: GccParams,

@@ -1,13 +1,19 @@
 """End-to-end CLI runs through main(argv); exit codes and file artifacts."""
 import json
+import os
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gccdoa
 from gccdoa import audio, cli, factorization
 from gccdoa.cli import main
 from gccdoa.core import GccParams, steering_matrix, theta_grid
+from gccdoa.errors import FormatError
 from gccdoa.estimators import build_estimator
 from gccdoa.stft import cross_spectrum, stft_frames
 
@@ -262,3 +268,128 @@ class TestBench:
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+
+
+# the GccParams fields each subcommand reads, and so takes as flags
+PARAM_FLAGS = {
+    "factorize": {"q", "n", "dist", "speed", "rate", "delta"},
+    "estimate": {"q", "n", "hop", "dist", "speed", "rate"},
+    "simulate": {"dist", "rate"},
+    "evaluate": {"q", "n", "hop", "dist", "speed", "rate", "delta"},
+    "bench": {"q", "n", "hop", "dist", "speed", "rate", "delta"},
+}
+PARAM_FIELDS = PARAM_FLAGS["evaluate"]
+
+
+class TestParamFlags:
+    """Each subcommand takes only the signal-chain flags it reads, with the
+    types and defaults of GccParams()."""
+
+    @pytest.mark.parametrize("command", sorted(PARAM_FLAGS))
+    def test_defaults_are_gccparams(self, command):
+        argv = [command] + (["x.wav"] if command == "estimate" else [])
+        args = cli.build_parser().parse_args(argv)
+        taken = PARAM_FIELDS & set(vars(args))
+        assert taken == PARAM_FLAGS[command]
+        defaults = GccParams()
+        for name in taken:
+            value = getattr(args, name)
+            assert value == getattr(defaults, name) and type(value) is type(getattr(defaults, name))
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in sorted(PARAM_FLAGS)
+        for flag in sorted(PARAM_FIELDS - PARAM_FLAGS[command])])
+    def test_removed_flag_exits_2(self, command, flag, capsys):
+        argv = [command] + (["x.wav"] if command == "estimate" else [])
+        with pytest.raises(SystemExit) as info:
+            main(argv + [f"--{flag}", "1e-3" if flag == "delta" else "64"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+    def test_factorize_ignores_the_default_hop(self, tmp_path, broadside_wav):
+        """factorize reads no hop, so --n 128 works, and its file drives svd at n=128."""
+        fac = tmp_path / "n128.gsvd"
+        assert main(["factorize", "--n", "128", "--out", str(fac)]) == 0
+        assert factorization.load_factors(fac).t_r.shape[1] == 65
+        out = tmp_path / "svd.ndjson"
+        assert main(["estimate", str(broadside_wav), "--n", "128", "--hop", "64",
+                     "--method", "svd", "--factors", str(fac), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == (16000 - 128) // 64 + 1
+        assert all(r["theta_deg"] == pytest.approx(0.0, abs=1e-9) for r in rows)
+
+    def test_simulate_takes_spacing_and_rate(self, tmp_path):
+        d = tmp_path / "sim"
+        assert main(["simulate", "--configs", "1", "--dist", "0.1", "--rate", "8000", "--duration",
+                     "0.2", "--write-wavs", "--out-dir", str(d)]) == 0
+        ch1, _ = audio.read_stereo_wav(d / "scenario_0000.wav", 8000)
+        assert len(ch1) > 0
+        assert len((d / "scenarios.jsonl").read_text().splitlines()) == 1
+        assert main(["simulate", "--configs", "1", "--dist", "-0.1", "--out-dir", str(d)]) == 2
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, broadside_wav):
+        """Two calls in one process, the second without --hop, write what two
+        fresh processes write."""
+        assert cli.build_parser() is cli.build_parser()
+        argvs = [["--hop", "80"], []]
+        in_process, fresh = [], []
+        env = {**os.environ, "PYTHONPATH": str(Path(gccdoa.__file__).parents[1])}
+        for i, extra in enumerate(argvs):
+            a, b = tmp_path / f"a{i}.ndjson", tmp_path / f"b{i}.ndjson"
+            argv = ["estimate", str(broadside_wav), "--method", "fft02-qi", *extra]
+            assert main(argv + ["--out", str(a)]) == 0
+            subprocess.run([sys.executable, "-m", "gccdoa.cli", *argv, "--out", str(b)],
+                           check=True, capture_output=True, env=env)
+            in_process.append(a.read_bytes())
+            fresh.append(b.read_bytes())
+        assert in_process == fresh
+        assert len(fresh[0].splitlines()) == (16000 - 512) // 80 + 1
+        assert len(fresh[1].splitlines()) == (16000 - 512) // 160 + 1
+
+
+class TestBadInputFailsCleanly:
+    @pytest.mark.parametrize("content", [b"", b"RIFF\x00", b"\x00" * 64],
+                             ids=["empty", "5-bytes", "64-bytes-no-riff"])
+    def test_non_wav_is_format_error(self, tmp_path, content, capsys):
+        path = tmp_path / "in.wav"
+        path.write_bytes(content)
+        with pytest.raises(FormatError):
+            audio.read_stereo_wav(path, 16000)
+        out = tmp_path / "e.ndjson"
+        assert main(["estimate", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cut", [1, 3, 4])
+    def test_wav_cut_inside_its_samples_is_format_error(self, tmp_path, cut, capsys):
+        path = tmp_path / "cut.wav"
+        _write_wav(path, np.full(2000, 0.1), np.full(2000, 0.1))
+        path.write_bytes(path.read_bytes()[:-cut])
+        out = tmp_path / "e.ndjson"
+        assert main(["estimate", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: cut short, {8000 - cut} of 8000 sample bytes\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["evaluate", "--betas", "0,x"], "--betas"),
+        (["evaluate", "--snrs", "40,ten"], "--snrs"),
+        (["evaluate", "--betas", "", "--check"], "--betas"),
+        (["evaluate", "--snrs", " , "], "--snrs"),
+        (["evaluate", "--methods", ","], "--methods"),
+        (["bench", "--methods", ""], "--methods"),
+    ])
+    def test_bad_comma_list_is_input_error(self, tmp_path, argv, flag, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_comma_list_entries_are_stripped(self, tmp_path):
+        out = tmp_path / "acc.csv"
+        assert main(["evaluate", "--methods", " mm , ", "--betas", " 0 ,, ", "--snrs", "40, 10 ",
+                     "--configs", "1", "--seed", "5", "--duration", "0.3", "--out", str(out)]) == 0
+        rows = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
+        assert rows == [["mm", "0.000000", "40.000000"], ["mm", "0.000000", "10.000000"]]

@@ -466,3 +466,25 @@ class TestAgreementWithMmOnFractionalDelays:
         q_mm = _PROPERTY_ESTIMATORS["mm"].estimate(x).q_max
         q = _PROPERTY_ESTIMATORS[name].estimate(x).q_max
         assert abs(GRID.taus[q] - GRID.taus[q_mm]) <= _WIDEST_DELAY_STEP
+
+
+class TestMethodTable:
+    """parse_method and method_names read one table of the 14 names."""
+
+    @pytest.mark.parametrize("name", method_names())
+    def test_every_name_round_trips(self, name):
+        kind, interp, qi = parse_method(name)
+        rebuilt = f"fft{interp:02d}" + ("-qi" if qi else "") if kind == "fft" else kind
+        assert rebuilt == name
+        assert (kind == "fft") == name.startswith("fft") and (kind == "fft" or interp == 1)
+        assert build_estimator(name, TABLE).name == name
+
+    def test_roster_order(self):
+        fft = [f"fft{i:02d}" for i in (1, 2, 4, 8, 16, 32)]
+        assert method_names() == ["mm", *fft, *(f + "-qi" for f in fft), "svd"]
+
+    def test_unknown_name_message(self):
+        with pytest.raises(InputError) as info:
+            parse_method("fft03")
+        assert str(info.value) == ("unknown method 'fft03'; expected one of "
+                                   + ", ".join(method_names()))
