@@ -1,6 +1,7 @@
 """Stereo 16-bit PCM WAV reading and writing (stdlib wave module)."""
 from __future__ import annotations
 
+import os
 import wave
 
 import numpy as np
@@ -8,28 +9,77 @@ import numpy as np
 from .errors import DimensionError, FormatError, InputError
 
 
-def read_stereo_wav(path, expected_rate: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two float channels in [-1, 1), normalized by 32768.
+class StereoWavReader:
+    """An open 2-channel 16-bit PCM WAV whose samples are decoded one span at a time.
 
-    The file must be 2-channel 16-bit PCM at exactly expected_rate; anything
-    else is rejected rather than resampled. A file that is not a PCM WAV, or
-    that ends before the samples its header declares, raises FormatError.
+    Opening reads the header and decodes no sample. The file must be 2-channel
+    16-bit PCM at exactly expected_rate (anything else is rejected rather than
+    resampled); a file that is not a PCM WAV, or that ends before the samples
+    its header declares, raises FormatError. Use it in a with block.
     """
-    try:
-        with wave.open(str(path), "rb") as wf:
+
+    def __init__(self, path, expected_rate: int):
+        self.path = path
+        self._file = open(str(path), "rb")
+        try:
+            try:
+                self._wav = wave.open(self._file)
+            except (EOFError, wave.Error) as exc:
+                raise FormatError(
+                    f"{path}: not a PCM WAV file ({str(exc) or 'ends in its header'})") from None
+            wf = self._wav
             if wf.getnchannels() != 2:
                 raise InputError(f"{path}: expected 2 channels, got {wf.getnchannels()}")
             if wf.getsampwidth() != 2:
                 raise InputError(f"{path}: expected 16-bit PCM (width 2), got width {wf.getsampwidth()}")
             if wf.getframerate() != expected_rate:
                 raise InputError(f"{path}: sample rate {wf.getframerate()}, expected {expected_rate}")
-            raw = wf.readframes(wf.getnframes())
-            if len(raw) != 4 * wf.getnframes():
-                raise FormatError(f"{path}: cut short, {len(raw)} of {4 * wf.getnframes()} sample bytes")
-    except (EOFError, wave.Error) as exc:
-        raise FormatError(f"{path}: not a PCM WAV file ({str(exc) or 'ends in its header'})") from None
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return data[0::2], data[1::2]
+            self.frames = wf.getnframes()
+            # wave.open leaves the file at the first sample byte, and wave reads up
+            # to the end of the file or of the RIFF chunk, whichever comes first
+            first = self._file.tell()
+            self._file.seek(4)
+            riff_end = 8 + int.from_bytes(self._file.read(4), "little")
+            present = min(os.fstat(self._file.fileno()).st_size, riff_end) - first
+            if present < 4 * self.frames:
+                raise self._cut_short(present)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _cut_short(self, present: int) -> FormatError:
+        return FormatError(f"{self.path}: cut short, {present} of {4 * self.frames} sample bytes")
+
+    def read(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two float channels in [-1, 1), normalized by 32768, of samples [start, stop).
+
+        The span is clipped to the recording as a slice is. Dividing int16 by
+        32768 is exact, so every span holds the bits of that slice of the
+        whole recording.
+        """
+        start, stop, _ = slice(start, stop).indices(self.frames)
+        count = max(stop - start, 0)
+        self._wav.setpos(start)
+        raw = self._wav.readframes(count)
+        # only a file that shrank since it was opened
+        if len(raw) < 4 * count:
+            raise self._cut_short(4 * start + len(raw))
+        data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+        data /= 32768.0
+        return data[0::2], data[1::2]
+
+    def __enter__(self) -> StereoWavReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._wav.close()
+        self._file.close()
+
+
+def read_stereo_wav(path, expected_rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole recording's two float channels; see StereoWavReader."""
+    with StereoWavReader(path, expected_rate) as wav:
+        return wav.read(0, wav.frames)
 
 
 def write_stereo_wav(path, ch1: np.ndarray, ch2: np.ndarray, rate: int,

@@ -65,20 +65,21 @@ def cmd_factorize(args) -> int:
     return 0
 
 
-# frames per block of `gccdoa estimate`: its arrays are (_BLOCK x n/2+1) however
-# long the recording is, and each block's NDJSON lines go out in one write
+# frames per block of `gccdoa estimate`: it reads and decodes only the block's
+# samples, its arrays are (_BLOCK x n/2+1) however long the recording is, and
+# each block's NDJSON lines go out in one write
 _BLOCK = 128
 
 
-def _ndjson_block(est, ch1, ch2, first, count, n, hop, window) -> tuple[str, int]:
-    """NDJSON lines of frames [first, first + count) and how many of them are silent.
+def _ndjson_block(est, wav, first, count, n, hop, window) -> tuple[str, int]:
+    """NDJSON lines of frames [first, first + count) of wav, and how many of them are silent.
 
-    Each line is what json.dumps({"frame", "theta_deg", "energy"}) writes: the
-    values go through json.dumps as one list per block, not one dict per frame.
+    Only the block's samples are read and decoded. Each line is what
+    json.dumps({"frame", "theta_deg", "energy"}) writes: the values go through
+    json.dumps as one list per block, not one dict per frame.
     """
-    span = slice(first * hop, (first + count - 1) * hop + n)
-    frames = cross_spectrum(stft_frames(ch1[span], n, hop, window),
-                            stft_frames(ch2[span], n, hop, window))
+    ch1, ch2 = wav.read(first * hop, (first + count - 1) * hop + n)
+    frames = cross_spectrum(stft_frames(ch1, n, hop, window), stft_frames(ch2, n, hop, window))
     estimates = [est.estimate(frame) for frame in frames]
     # an all-zero PHAT frame (digital silence) has no direction: theta_deg is null
     silent = (~frames.any(axis=1)).tolist()
@@ -96,24 +97,27 @@ def cmd_estimate(args) -> int:
         raise InputError("method 'svd' needs --factors FILE (run factorize first)")
     factors = factorization.load_factors(args.factors) if args.method == "svd" else None
     est = build_estimator(args.method, params, factors)
-    ch1, ch2 = audio.read_stereo_wav(args.wav, params.rate)
     n, hop = params.n, params.hop
-    # a recording shorter than n still makes one block, whose stft_frames call
-    # raises; it does so before the output file is opened
-    total = max((len(ch1) - n) // hop + 1, 1)
-    blocks = (_ndjson_block(est, ch1, ch2, b0, min(_BLOCK, total - b0), n, hop, args.window)
-              for b0 in range(0, total, _BLOCK))
-    text, silent = next(blocks)
-    with open(args.out, "w") as fh:
-        fh.write(text)
-        for text, quiet in blocks:
+    with audio.StereoWavReader(args.wav, params.rate) as wav:
+        # a recording shorter than n still makes one block, whose stft_frames call
+        # raises; it does so before the output file is opened
+        total = max((wav.frames - n) // hop + 1, 1)
+        blocks = (_ndjson_block(est, wav, b0, min(_BLOCK, total - b0), n, hop, args.window)
+                  for b0 in range(0, total, _BLOCK))
+        text, silent = next(blocks)
+        with open(args.out, "w") as fh:
             fh.write(text)
-            silent += quiet
+            for text, quiet in blocks:
+                fh.write(text)
+                silent += quiet
     print(f"{total} frames ({silent} silent) -> {args.out}")
     return 0
 
 
 def cmd_simulate(args) -> int:
+    # checked here, not only when rendering: without --write-wavs nothing reads the rate
+    if not 0 < args.rate < np.inf:
+        raise ConfigurationError(f"sample rate must be positive and finite, got {args.rate}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenarios = [simulator.random_scenario(args.beta, args.snr, args.dist, (args.seed, i))

@@ -60,6 +60,12 @@ class Scenario:
     snr_db: float | None
     seed: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        # None and +inf add no noise; NaN and -inf (all noise) are no SNR to render
+        if self.snr_db is not None and not -np.inf < self.snr_db <= np.inf:
+            raise ConfigurationError(
+                f"SNR must be finite dB, +inf or None (both: no noise), got {self.snr_db}")
+
 
 @dataclass(frozen=True)
 class RenderedPair:
@@ -240,7 +246,7 @@ def render(scenario: Scenario, source_signal: np.ndarray, rate: int = 16000,
            length: int = RIR_LENGTH) -> RenderedPair:
     """Convolve the source with both RIRs and add per-channel noise at snr_db.
 
-    snr_db=None disables noise entirely (pure convolutions). Noise draws come
+    snr_db=None or +inf disables noise entirely (pure convolutions). Noise draws come
     from the scenario's own seed path, so rendering is bit-reproducible.
     """
     source_signal = np.asarray(source_signal, dtype=np.float64)

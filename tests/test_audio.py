@@ -1,0 +1,93 @@
+"""The WAV reader: any span it decodes holds the bits of the whole-file decode."""
+import os
+import wave
+
+import numpy as np
+import pytest
+
+from gccdoa import audio
+from gccdoa.errors import FormatError
+
+
+def _noise_wav(path, frames):
+    """A stereo 16-bit WAV of full-range noise; returns its samples as written."""
+    pcm = np.random.default_rng(31).integers(-32768, 32768, (frames, 2), dtype="<i2")
+    pcm[:2] = [[-32768, 32767], [32767, -32768]]
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(2)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(pcm.tobytes())
+    return pcm
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _estimate_spans(frames, n, hop, block):
+    """The [start, stop) spans that `gccdoa estimate` reads, one per block of frames."""
+    total = max((frames - n) // hop + 1, 1)
+    for b0 in range(0, total, block):
+        yield b0 * hop, (b0 + min(block, total - b0) - 1) * hop + n
+
+
+def test_whole_file_is_int16_over_32768(tmp_path):
+    pcm = _noise_wav(tmp_path / "a.wav", 5001)
+    ch1, ch2 = audio.read_stereo_wav(tmp_path / "a.wav", 16000)
+    assert _bits(ch1) == _bits(pcm[:, 0] / 32768.0)
+    assert _bits(ch2) == _bits(pcm[:, 1] / 32768.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 333, 4096, 10_000])
+def test_whole_file_is_the_concatenation_of_spans(tmp_path, chunk):
+    _noise_wav(tmp_path / "a.wav", 5001)
+    whole = audio.read_stereo_wav(tmp_path / "a.wav", 16000)
+    with audio.StereoWavReader(tmp_path / "a.wav", 16000) as wav:
+        spans = [wav.read(start, start + chunk) for start in range(0, wav.frames, chunk)]
+    for c in (0, 1):
+        assert _bits(np.concatenate([span[c] for span in spans])) == _bits(whole[c])
+
+
+@pytest.mark.parametrize("frames,n,hop,block", [
+    (5001, 512, 160, 1), (5001, 512, 160, 7), (5001, 512, 160, 128),
+    (5001, 64, 100, 3),     # hop > n: the blocks skip samples
+    (300, 512, 160, 128),   # shorter than a frame: the one span is clipped
+])
+def test_estimate_blocks_are_slices_of_the_whole_file(tmp_path, frames, n, hop, block):
+    _noise_wav(tmp_path / "a.wav", frames)
+    whole = audio.read_stereo_wav(tmp_path / "a.wav", 16000)
+    with audio.StereoWavReader(tmp_path / "a.wav", 16000) as wav:
+        for start, stop in _estimate_spans(frames, n, hop, block):
+            got = wav.read(start, stop)
+            for c in (0, 1):
+                assert _bits(got[c]) == _bits(whole[c][start:stop])
+    assert len(got[0]) == (frames if frames < n else stop - start)
+
+
+def test_riff_size_ending_inside_the_samples_is_cut_short(tmp_path):
+    """wave reads no further than the RIFF chunk declares, so the file is short."""
+    path = tmp_path / "a.wav"
+    _noise_wav(path, 2000)
+    data = bytearray(path.read_bytes())
+    data[4:8] = (int.from_bytes(data[4:8], "little") - 10).to_bytes(4, "little")
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=r"cut short, 7990 of 8000 sample bytes$"):
+        audio.StereoWavReader(path, 16000)
+
+
+def test_file_cut_after_opening_is_cut_short(tmp_path):
+    path = tmp_path / "a.wav"
+    _noise_wav(path, 2000)
+    with audio.StereoWavReader(path, 16000) as wav:
+        os.truncate(path, path.stat().st_size - 4 * 500 - 1)
+        assert len(wav.read(0, 1000)[0]) == 1000  # the samples before the cut still read
+        with pytest.raises(FormatError, match=r"cut short, 5999 of 8000 sample bytes$"):
+            wav.read(1000, 2000)
+
+
+def test_reader_closes_its_file(tmp_path):
+    _noise_wav(tmp_path / "a.wav", 100)
+    with audio.StereoWavReader(tmp_path / "a.wav", 16000) as wav:
+        wav.read(0, 10)
+    assert wav._file.closed

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import wave
 from pathlib import Path
 
@@ -200,6 +201,48 @@ class TestBlockedEstimate:
         assert main(["estimate", str(gap_wav), "--method", "fft02-qi", "--out", str(out)]) == 0
         assert out.read_bytes() == reference.read_bytes()
 
+    def test_chunk_after_the_samples_changes_nothing(self, tmp_path, gap_wav):
+        data = gap_wav.read_bytes()
+        info = b"INFOISFT" + (4).to_bytes(4, "little") + b"gcc\0"
+        chunk = b"LIST" + len(info).to_bytes(4, "little") + info
+        riff = int.from_bytes(data[4:8], "little") + len(chunk)
+        listed = tmp_path / "listed.wav"
+        listed.write_bytes(data[:4] + riff.to_bytes(4, "little") + data[8:] + chunk)
+        outs = []
+        for wav in (gap_wav, listed):
+            out = tmp_path / f"{wav.stem}.ndjson"
+            assert main(["estimate", str(wav), "--method", "fft02-qi", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_traced_memory_does_not_grow_with_the_recording(self, tmp_path, capsys):
+        """The tracemalloc peak, which sees numpy's buffers, of a 150 s recording
+        is within 10 % of a 30 s one's: only the block's samples are decoded."""
+        rng = np.random.default_rng(29)
+        argvs = {}
+        for seconds in (30, 150):
+            path = tmp_path / f"noise{seconds}.wav"
+            with wave.open(str(path), "wb") as wf:
+                wf.setnchannels(2)
+                wf.setsampwidth(2)
+                wf.setframerate(16000)
+                wf.writeframes(rng.integers(-3000, 3000, (seconds * 16000, 2), dtype="<i2").tobytes())
+            # hop = n keeps the test short; the blocks' size does not depend on the length
+            argvs[seconds] = ["estimate", str(path), "--method", "fft02-qi", "--hop", "512",
+                              "--out", str(tmp_path / "e.ndjson")]
+        peaks = {}
+        tracemalloc.start()
+        try:
+            assert main(argvs[30]) == 0  # fills the one-time caches (window, parser)
+            for seconds, argv in argvs.items():
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peaks[seconds] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peaks[150] <= 1.1 * peaks[30], peaks
+
     @pytest.mark.parametrize("samples", [1, 511])
     def test_recording_shorter_than_a_frame(self, tmp_path, samples, capsys):
         wav = tmp_path / "short.wav"
@@ -233,6 +276,14 @@ class TestSimulate:
             assert np.max(np.abs(ch1)) > 0.0
 
 
+    @pytest.mark.parametrize("wavs", [[], ["--write-wavs"]])
+    def test_bad_rate_exits_2_with_or_without_wavs(self, tmp_path, wavs, capsys):
+        d = tmp_path / "out"
+        assert main(["simulate", "--rate", "0", "--configs", "1", "--out-dir", str(d), *wavs]) == 2
+        assert capsys.readouterr().err == "error: sample rate must be positive and finite, got 0\n"
+        assert not d.exists()
+
+
 class TestEvaluate:
     def test_smoke_writes_csv(self, tmp_path):
         out = tmp_path / "acc.csv"
@@ -251,6 +302,14 @@ class TestEvaluate:
         verdicts = [ln for ln in printed.splitlines() if ln.startswith("check ")]
         assert len(verdicts) == 4
         assert rc == (1 if any("FAIL" in v for v in verdicts) else 0)
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_snr_that_is_no_number_of_db_exits_2(self, tmp_path, snr, capsys):
+        out = tmp_path / "acc.csv"
+        assert main(["evaluate", "--methods", "mm", "--betas", "0", f"--snrs={snr}", "--configs", "1",
+                     "--duration", "0.3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: SNR must be finite dB, +inf or None")
+        assert not out.exists()
 
 
 class TestBench:

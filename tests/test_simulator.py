@@ -1,4 +1,6 @@
 """Room sampling, geometry, image-method RIRs, rendering, and the manifest."""
+import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -410,3 +412,23 @@ class TestNonFiniteInputsRejected:
         room = RoomSpec(dims=(6.0, 5.0, 3.5), beta=0.0)
         with pytest.raises(ConfigurationError):
             place_pair_and_source(room, -0.05, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("snr", [np.nan, -np.inf])
+    def test_random_scenario_snr(self, snr):
+        with pytest.raises(ConfigurationError, match="SNR must be"):
+            random_scenario(0.3, snr, 0.05, (42, 0))
+
+    @pytest.mark.parametrize("snr", [np.nan, -np.inf])
+    def test_render_snr(self, snr):
+        """A Scenario is checked when it is made, so render and a manifest never meet such an SNR."""
+        sc = _tiny_scenario(snr_db=20.0)
+        with pytest.raises(ConfigurationError, match="SNR must be"):
+            render(dataclasses.replace(sc, snr_db=snr), np.ones(1000), RATE, length=512)
+        with pytest.raises(ConfigurationError, match="SNR must be"):
+            scenario_from_json(scenario_to_json(sc).replace("20.0", json.dumps(snr)))
+
+    def test_positive_infinite_snr_is_noise_free(self):
+        sig = speech_like_source(0.5, RATE, np.random.default_rng(13))
+        clean = render(_tiny_scenario(snr_db=None), sig, RATE, length=512)
+        inf = render(_tiny_scenario(snr_db=np.inf), sig, RATE, length=512)
+        assert np.array_equal(clean.ch1, inf.ch1) and np.array_equal(clean.ch2, inf.ch2)
