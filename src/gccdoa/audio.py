@@ -50,12 +50,14 @@ class StereoWavReader:
     def _cut_short(self, present: int) -> FormatError:
         return FormatError(f"{self.path}: cut short, {present} of {4 * self.frames} sample bytes")
 
-    def read(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    def read(self, start: int, stop: int, out: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
         """Two float channels in [-1, 1), normalized by 32768, of samples [start, stop).
 
         The span is clipped to the recording as a slice is. Dividing int16 by
         32768 is exact, so every span holds the bits of that slice of the
-        whole recording.
+        whole recording. The channels are the rows of out[:, :count] for a
+        float64 out of shape (2, m >= count), and of a new array without it.
         """
         start, stop, _ = slice(start, stop).indices(self.frames)
         count = max(stop - start, 0)
@@ -64,9 +66,9 @@ class StereoWavReader:
         # only a file that shrank since it was opened
         if len(raw) < 4 * count:
             raise self._cut_short(4 * start + len(raw))
-        data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-        data /= 32768.0
-        return data[0::2], data[1::2]
+        chans = (np.empty((2, count)) if out is None else out)[:, :count]
+        np.divide(np.frombuffer(raw, dtype="<i2").reshape(count, 2).T, 32768.0, out=chans)
+        return chans[0], chans[1]
 
     def __enter__(self) -> StereoWavReader:
         return self

@@ -66,20 +66,25 @@ def cmd_factorize(args) -> int:
 
 
 # frames per block of `gccdoa estimate`: it reads and decodes only the block's
-# samples, its arrays are (_BLOCK x n/2+1) however long the recording is, and
-# each block's NDJSON lines go out in one write
+# samples into one workspace that every block reuses, its arrays are
+# (_BLOCK x n/2+1) however long the recording is, and each block's NDJSON
+# lines go out in one write
 _BLOCK = 128
 
 
-def _ndjson_block(est, wav, first, count, n, hop, window) -> tuple[str, int]:
+def _ndjson_block(est, wav, first, count, n, hop, window, pcm, spectra) -> tuple[str, int]:
     """NDJSON lines of frames [first, first + count) of wav, and how many of them are silent.
 
-    Only the block's samples are read and decoded. Each line is what
-    json.dumps({"frame", "theta_deg", "energy"}) writes: the values go through
-    json.dumps as one list per block, not one dict per frame.
+    Only the block's samples are read and decoded, into pcm (2 x samples);
+    spectra (3 x frames x bins, complex) holds both channels' spectra and
+    their cross-spectrum. Each line is what json.dumps({"frame", "theta_deg",
+    "energy"}) writes: the values go through json.dumps as one list per
+    block, not one dict per frame.
     """
-    ch1, ch2 = wav.read(first * hop, (first + count - 1) * hop + n)
-    frames = cross_spectrum(stft_frames(ch1, n, hop, window), stft_frames(ch2, n, hop, window))
+    ch1, ch2 = wav.read(first * hop, (first + count - 1) * hop + n, out=pcm)
+    x1, x2, x12 = spectra[:, :count]
+    frames = cross_spectrum(stft_frames(ch1, n, hop, window, out=x1),
+                            stft_frames(ch2, n, hop, window, out=x2), out=x12)
     estimates = [est.estimate(frame) for frame in frames]
     # an all-zero PHAT frame (digital silence) has no direction: theta_deg is null
     silent = (~frames.any(axis=1)).tolist()
@@ -102,7 +107,13 @@ def cmd_estimate(args) -> int:
         # a recording shorter than n still makes one block, whose stft_frames call
         # raises; it does so before the output file is opened
         total = max((wav.frames - n) // hop + 1, 1)
-        blocks = (_ndjson_block(est, wav, b0, min(_BLOCK, total - b0), n, hop, args.window)
+        # one workspace for every block, so no block's arrays go back to the
+        # allocator and are paged in again for the next
+        size = min(_BLOCK, total)
+        pcm = np.empty((2, (size - 1) * hop + n))
+        spectra = np.empty((3, size, n // 2 + 1), np.complex128)
+        blocks = (_ndjson_block(est, wav, b0, min(_BLOCK, total - b0), n, hop, args.window,
+                                pcm, spectra)
                   for b0 in range(0, total, _BLOCK))
         text, silent = next(blocks)
         with open(args.out, "w") as fh:
@@ -115,9 +126,14 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # checked here, not only when rendering: without --write-wavs nothing reads the rate
+    # checked before anything is written, not only when rendering: without
+    # --write-wavs nothing reads the rate or the duration
+    if args.configs < 1:
+        raise ConfigurationError(f"need at least one configuration, got {args.configs}")
     if not 0 < args.rate < np.inf:
         raise ConfigurationError(f"sample rate must be positive and finite, got {args.rate}")
+    if not 0 < args.duration < np.inf:
+        raise ConfigurationError(f"duration must be positive and finite, got {args.duration}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenarios = [simulator.random_scenario(args.beta, args.snr, args.dist, (args.seed, i))

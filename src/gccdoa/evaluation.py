@@ -138,6 +138,8 @@ def run_bench(methods, n_frames: int, params: GccParams | None = None,
     """
     if n_frames < 1:
         raise ConfigurationError(f"need at least one frame, got {n_frames}")
+    if warmup < 0:
+        raise ConfigurationError(f"warm-up must be >= 0 frames, got {warmup}")
     params = params if params is not None else GccParams()
     rng = np.random.default_rng(seed)
     batch = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_frames, params.half_bins)))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .core import round_half_away
 from .errors import ConfigurationError, InputError
@@ -242,6 +241,38 @@ def speech_like_source(duration_s: float, rate: int, rng: np.random.Generator) -
     return x / np.sqrt(np.mean(x * x))
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n (n >= 1): scipy.fft.next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two non-empty 1-D float64 arrays.
+
+    The same bits as scipy.signal.fftconvolve(a, b): a direct product when
+    either input has one sample, else rfft/irfft at scipy's real fast length
+    (numpy >= 2 runs the same pocketfft code as scipy.fft).
+    """
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n = a.size + b.size - 1
+    m = _fast_len(n)
+    # rfft(a) * rfft(b), in that operand order, in place: one transform-sized
+    # array fewer for the allocator to hand back and fault in again
+    spec = np.fft.rfft(a, m)
+    spec *= np.fft.rfft(b, m)
+    return np.fft.irfft(spec, m)[:n]
+
+
 def render(scenario: Scenario, source_signal: np.ndarray, rate: int = 16000,
            length: int = RIR_LENGTH) -> RenderedPair:
     """Convolve the source with both RIRs and add per-channel noise at snr_db.
@@ -258,8 +289,7 @@ def render(scenario: Scenario, source_signal: np.ndarray, rate: int = 16000,
     rng = stream_rng(scenario.seed, NOISE_STREAM)
     for mic in (scenario.mic_a, scenario.mic_b):
         h = image_rir(scenario.room, scenario.source, mic, rate, length)
-        ch = fftconvolve(source_signal, h)
-        channels.append(ch)
+        channels.append(_fftconvolve(source_signal, h))
     if scenario.snr_db is not None and np.isfinite(scenario.snr_db):
         for ch in channels:
             power = np.mean(ch * ch)

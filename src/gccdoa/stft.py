@@ -27,11 +27,14 @@ def window_samples(kind: str, n: int) -> np.ndarray:
     raise ConfigurationError(f"unknown window {kind!r} (expected 'hann' or 'rect')")
 
 
-def stft_frames(signal: np.ndarray, n: int, hop: int, window: str = "hann") -> np.ndarray:
+def stft_frames(signal: np.ndarray, n: int, hop: int, window: str = "hann",
+                out: np.ndarray | None = None) -> np.ndarray:
     """One-sided spectra of all complete frames, shape (frames, n//2 + 1).
 
     Frame l covers samples [l*hop, l*hop + n); the frame count is
     floor((len - n) / hop) + 1. n and hop must be >= 1; hop > n skips samples.
+    out, a complex128 array of exactly that shape, receives the spectra and is
+    returned; the bits are the same as without it.
     """
     if n < 1 or hop < 1:
         raise ConfigurationError(f"frame size and hop must be >= 1, got n={n} hop={hop}")
@@ -48,15 +51,17 @@ def stft_frames(signal: np.ndarray, n: int, hop: int, window: str = "hann") -> n
     signal = np.ascontiguousarray(signal)
     frames = np.ndarray(((len(signal) - n) // hop + 1, n), np.float64, buffer=signal,
                         strides=(8 * hop, 8))
-    return np.fft.rfft(frames * win, axis=1)
+    return np.fft.rfft(frames * win, axis=1, out=out)
 
 
-def cross_spectrum(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def cross_spectrum(x1: np.ndarray, x2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """PHAT-normalized cross-spectrum X1 * conj(X2) / (|X1| |X2|).
 
     Accepts single spectra or batches of frames (last axis = bins). Bins whose
     magnitude product falls below MAG_FLOOR are set to exactly zero instead of
-    dividing by (nearly) nothing.
+    dividing by (nearly) nothing. out, an array of the inputs' shape and
+    promoted complex dtype that shares no memory with them, receives the
+    result and is returned.
     """
     x1 = np.asarray(x1)
     x2 = np.asarray(x2)
@@ -65,13 +70,13 @@ def cross_spectrum(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     # always x1 * conj(x2), in that operand order: `x1 * np.conj(x2)` lets numpy
     # reuse the conj temporary from 256 KiB on and compute conj(x2) * x1, which
     # FMA code rounds differently, so a frame's value would depend on batch size
-    prod = np.conj(x2, out=np.empty(x1.shape, np.result_type(x1, x2)))
+    prod = np.conj(x2, out=np.empty(x1.shape, np.result_type(x1, x2)) if out is None else out)
     np.multiply(x1, prod, out=prod)
     mag = np.abs(x1) * np.abs(x2)
     voiced = mag >= MAG_FLOOR  # False for NaN as well as for silence
     if voiced.all():
         prod /= mag
-        return prod
-    out = np.zeros_like(prod)
-    np.divide(prod, mag, out=out, where=voiced)
-    return out
+    else:
+        np.divide(prod, mag, out=prod, where=voiced)
+        prod[~voiced] = 0
+    return prod

@@ -65,6 +65,22 @@ def test_estimate_blocks_are_slices_of_the_whole_file(tmp_path, frames, n, hop, 
     assert len(got[0]) == (frames if frames < n else stop - start)
 
 
+def test_read_into_out_fills_its_first_columns(tmp_path):
+    """A span read into a larger reused buffer holds the whole-file bits in
+    out[:, :count], whatever the buffer held before."""
+    _noise_wav(tmp_path / "a.wav", 5001)
+    whole = audio.read_stereo_wav(tmp_path / "a.wav", 16000)
+    out = np.full((2, 3000), np.nan)
+    with audio.StereoWavReader(tmp_path / "a.wav", 16000) as wav:
+        for start, stop in [(0, 3000), (100, 1100), (4500, 7000)]:
+            got = wav.read(start, stop, out=out)
+            count = min(stop, 5001) - start
+            for c in (0, 1):
+                assert np.shares_memory(got[c], out) and len(got[c]) == count
+                assert _bits(got[c]) == _bits(whole[c][start:stop])
+                assert _bits(out[c, :count]) == _bits(whole[c][start:stop])
+
+
 def test_riff_size_ending_inside_the_samples_is_cut_short(tmp_path):
     """wave reads no further than the RIFF chunk declares, so the file is short."""
     path = tmp_path / "a.wav"

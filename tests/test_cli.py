@@ -253,6 +253,51 @@ class TestBlockedEstimate:
         assert not out.exists()
 
 
+class TestReusedWorkspace:
+    """Every block reuses one workspace: no block may see another block's values."""
+
+    FRAMES = 3 * cli._BLOCK + 5  # the partial last block follows a full one
+
+    @pytest.fixture(scope="class")
+    def silent_block_wav(self, tmp_path_factory):
+        """Noise with a 2-sample inter-channel delay and digital silence over
+        frames in the middle of block 1."""
+        rng = np.random.default_rng(37)
+        sig = rng.standard_normal((self.FRAMES - 1) * 160 + 512 + 2) * 0.2
+        first = cli._BLOCK + 40
+        sig[first * 160:(first + 20) * 160 + 512] = 0.0
+        path = tmp_path_factory.mktemp("workspace") / "silent_block.wav"
+        _write_wav(path, sig[2:], sig[:-2])
+        return path
+
+    @pytest.mark.parametrize("method", ["mm", "svd", "fft02-qi", "fft32-qi"])
+    def test_equals_whole_recording_json_dumps(self, tmp_path, silent_block_wav, method):
+        argv = ["estimate", str(silent_block_wav), "--method", method,
+                "--out", str(tmp_path / "e.ndjson")]
+        factors = None
+        if method == "svd":
+            assert main(["factorize", "--out", str(tmp_path / "w.gsvd")]) == 0
+            factors = factorization.load_factors(tmp_path / "w.gsvd")
+            argv += ["--factors", str(tmp_path / "w.gsvd")]
+        assert main(argv) == 0
+        got = (tmp_path / "e.ndjson").read_text()
+        assert got == TestBlockedEstimate._whole_recording_lines(silent_block_wav, method, factors)
+        rows = [json.loads(line) for line in got.splitlines()]
+        silent = [r["frame"] for r in rows if r["theta_deg"] is None]
+        assert len(rows) == self.FRAMES
+        assert silent and cli._BLOCK < min(silent) and max(silent) < 2 * cli._BLOCK
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy alone: importing it and its CLI loads no scipy module."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gccdoa.__file__).parents[1])}
+    code = ("import sys, gccdoa, gccdoa.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=env)
+    assert run.stdout == "[]\n"
+
+
 class TestSimulate:
     def test_manifests_are_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -281,6 +326,25 @@ class TestSimulate:
         d = tmp_path / "out"
         assert main(["simulate", "--rate", "0", "--configs", "1", "--out-dir", str(d), *wavs]) == 2
         assert capsys.readouterr().err == "error: sample rate must be positive and finite, got 0\n"
+        assert not d.exists()
+
+    @pytest.mark.parametrize("wavs", [[], ["--write-wavs"]])
+    @pytest.mark.parametrize("configs", ["0", "-3"])
+    def test_configs_below_one_exit_2(self, tmp_path, wavs, configs, capsys):
+        d = tmp_path / "out"
+        assert main(["simulate", f"--configs={configs}", "--out-dir", str(d), *wavs]) == 2
+        assert capsys.readouterr().err == (
+            f"error: need at least one configuration, got {configs}\n")
+        assert not d.exists()
+
+    @pytest.mark.parametrize("wavs", [[], ["--write-wavs"]])
+    @pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf"])
+    def test_bad_duration_exits_2_with_or_without_wavs(self, tmp_path, wavs, duration, capsys):
+        d = tmp_path / "out"
+        assert main(["simulate", f"--duration={duration}", "--configs", "1", "--out-dir", str(d),
+                     *wavs]) == 2
+        assert capsys.readouterr().err == (
+            f"error: duration must be positive and finite, got {float(duration)}\n")
         assert not d.exists()
 
 
@@ -327,6 +391,13 @@ class TestBench:
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_negative_warmup_rejected(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["bench", "--methods", "mm", "--frames", "5", "--warmup=-7",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: warm-up must be >= 0 frames, got -7\n"
+        assert not out.exists()
 
 
 # the GccParams fields each subcommand reads, and so takes as flags

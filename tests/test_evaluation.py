@@ -99,6 +99,10 @@ class TestBench:
         with pytest.raises(ConfigurationError):
             run_bench(["mm"], n_frames=0)
 
+    def test_rejects_negative_warmup(self):
+        with pytest.raises(ConfigurationError, match="warm-up"):
+            run_bench(["mm"], n_frames=5, warmup=-1)
+
 
 class TestEmitReports:
     def test_cell_csv_layout(self, tmp_path):

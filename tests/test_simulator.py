@@ -5,7 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
+
+from gccdoa import simulator
 
 from gccdoa.core import round_half_away
 from gccdoa.errors import ConfigurationError, InputError
@@ -334,6 +339,44 @@ class TestRender:
         corr = fftconvolve(pair.ch1, pair.ch2[::-1])
         lag = np.argmax(corr) - (len(pair.ch2) - 1)
         assert abs(lag) <= 1
+
+
+class TestFftConvolve:
+    """render's numpy convolution gives the bits of scipy.signal.fftconvolve."""
+
+    @pytest.mark.parametrize("la,lb", [
+        (24000, 4096), (4000, 1024), (8000, 4096), (4800, 512), (16001, 4096),
+        (12345, 4096), (4096, 24000), (2, 4096), (4096, 2), (2, 2), (3, 7)])
+    def test_equals_scipy(self, la, lb):
+        rng = np.random.default_rng(la * 7919 + lb)
+        a, b = rng.standard_normal(la), rng.standard_normal(lb)
+        got = simulator._fftconvolve(a, b)
+        assert np.array_equal(got, fftconvolve(a, b))
+        assert got.shape == (la + lb - 1,)
+
+    @pytest.mark.parametrize("la,lb", [(1, 4096), (24000, 1), (1, 1)])
+    def test_one_sample_input_is_the_direct_product(self, la, lb):
+        rng = np.random.default_rng(la + lb)
+        a, b = rng.standard_normal(la), rng.standard_normal(lb)
+        assert np.array_equal(simulator._fftconvolve(a, b), fftconvolve(a, b))
+
+    def test_fast_len_equals_scipy_up_to_5000(self):
+        got = [simulator._fast_len(n) for n in range(1, 5001)]
+        assert got == [scipy.fft.next_fast_len(n, True) for n in range(1, 5001)]
+
+    @given(st.integers(min_value=5001, max_value=10**15))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_fast_len_equals_scipy_above_5000(self, n):
+        assert simulator._fast_len(n) == scipy.fft.next_fast_len(n, True)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.6])
+    def test_render_equals_scipy_per_channel(self, beta):
+        sc = _tiny_scenario(beta=beta)
+        sig = speech_like_source(1.5, RATE, np.random.default_rng(12))
+        pair = render(sc, sig, RATE)
+        for mic, ch in ((sc.mic_a, pair.ch1), (sc.mic_b, pair.ch2)):
+            h = image_rir(sc.room, sc.source, mic, RATE)
+            assert np.array_equal(ch, fftconvolve(sig, h))
 
 
 class TestRandomScenario:

@@ -134,6 +134,16 @@ class TestStftFrames:
             assert np.array_equal(got, expected), (length, n, hop)
 
 
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    def test_out_receives_the_same_bits(self, window):
+        rng = np.random.default_rng(16)
+        for length, n, hop in FRAMINGS:
+            sig = rng.uniform(-1.0, 1.0, length)
+            out = np.full(((length - n) // hop + 1, n // 2 + 1), np.nan, dtype=complex)
+            assert stft_frames(sig, n, hop, window, out=out) is out
+            assert np.array_equal(out, stft_frames(sig, n, hop, window)), (length, n, hop)
+
+
 class TestCrossSpectrum:
     def test_self_correlation_is_unit_real(self):
         rng = np.random.default_rng(1)
@@ -225,6 +235,20 @@ class TestCrossSpectrum:
         x1[40:50] = 0.0
         batch = cross_spectrum(x1, x2)
         assert np.array_equal(batch, [cross_spectrum(a, b) for a, b in zip(x1, x2)])
+
+    def test_out_holding_stale_values_receives_the_same_bits(self):
+        """out, here full of NaN as a reused buffer may be, is overwritten in
+        every bin, silent ones included."""
+        x1, x2 = self._spectra((300, 257))
+        x1[40:50] = 0.0
+        x2[7, 3] = 1e-30
+        out = np.full(x1.shape, np.nan, dtype=complex)
+        assert cross_spectrum(x1, x2, out=out) is out
+        assert np.array_equal(out, cross_spectrum(x1, x2))
+        assert not out[40:50].any() and out[7, 3] == 0
+        voiced = self._spectra((300, 257), seed=8)
+        assert cross_spectrum(*voiced, out=out) is out
+        assert np.array_equal(out, cross_spectrum(*voiced))
 
     @pytest.mark.parametrize("dtypes", [(np.complex64, np.complex128),
                                         (np.complex128, np.complex64)])
