@@ -148,6 +148,16 @@ def steering_matrix(params: GccParams, grid: AngularGrid) -> SteeringMatrix:
             f"grid has {grid.taus.shape[0]} angles but params.q={params.q}")
     gains = normalization_gains(params.n)
     k = np.arange(params.half_bins)
-    phases = (2.0 * np.pi / params.n) * np.outer(grid.taus, k)
-    entries = gains * np.exp(1j * phases)
+    taus = grid.taus
+    # on an exactly odd grid (theta_grid's) row Q-1-q is the conjugate of row q,
+    # so only the first ceil(Q/2) rows are evaluated; any other grid mirrors none
+    h = params.q // 2 if np.array_equal(taus, -taus[::-1]) else 0
+    top = params.q - h
+    entries = np.empty((params.q, params.half_bins), np.complex128)
+    phases = (2.0 * np.pi / params.n) * np.outer(taus[:top], k)
+    np.multiply(gains, np.exp(1j * phases), out=entries[:top])
+    mirror = entries[:h][::-1]
+    entries[top:].real = mirror.real
+    # 0 - x rather than -x: a zero phase keeps the +0 imaginary part exp gives it
+    np.subtract(0.0, mirror.imag, out=entries[top:].imag)
     return SteeringMatrix(gains=gains, entries=_freeze(entries))

@@ -21,7 +21,8 @@ quantity: a correlation curve over the Q grid angles,
              operator that reads the spectrum as interleaved (re, im) pairs.
 
 Each back-end's arithmetic is one private kernel over precomputed state. The
-free functions build that state per call; the prepared classes build it once
+free functions build that state per call (``svd_correlate`` reads the operator
+its factors carry); the prepared classes build it once
 and share one ``estimate(x12) -> DoaEstimate`` (check the frame, run the
 kernel, take the peak). Prepared state is immutable; estimate calls allocate
 their own scratch and are reentrant.
@@ -162,20 +163,6 @@ def _read_lags(samples: np.ndarray, lags: np.ndarray, weights: np.ndarray | None
     return samples[lags] if weights is None else np.einsum("ij,ij->j", weights, samples[lags])
 
 
-def _svd_operator(factors: LowRankFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked real operator (U, T_il) of the low-rank curve.
-
-    U = [U_R, -U_I] is Q x (K_R+K_I). T_il is (K_R+K_I) x 2(N/2+1) and acts on
-    the interleaved (re, im) float64 view of X12: its first K_R rows hold T_R
-    on the even columns, its last K_I rows hold T_I on the odd columns.
-    """
-    k_r, bins = factors.t_r.shape
-    t_il = np.zeros((k_r + factors.t_i.shape[0], 2 * bins))
-    t_il[:k_r, 0::2] = factors.t_r
-    t_il[k_r:, 1::2] = factors.t_i
-    return np.concatenate((factors.u_r, -factors.u_i), axis=1), t_il
-
-
 def _svd_apply(u: np.ndarray, t_il: np.ndarray, x12: np.ndarray) -> np.ndarray:
     # a contiguous complex128 frame is viewed, not copied
     return u @ (t_il @ np.ascontiguousarray(x12, dtype=np.complex128).view(np.float64))
@@ -220,7 +207,7 @@ def qi_correlate(y: InterpolatedLags, grid: AngularGrid, params: GccParams) -> n
 def svd_correlate(factors: LowRankFactors, x12: np.ndarray) -> np.ndarray:
     """Low-rank curve: U_R (T_R Re X12) - U_I (T_I Im X12)."""
     x12 = _check_spectrum(x12, factors.t_r.shape[1])
-    return _svd_apply(*_svd_operator(factors), x12)
+    return _svd_apply(*factors.operator, x12)
 
 
 def pick_peak(curve: np.ndarray, grid: AngularGrid) -> DoaEstimate:
@@ -309,7 +296,7 @@ class SvdEstimator(_PreparedEstimator):
             raise ConfigurationError(f"factors miss this steering matrix: reconstruction ratios "
                                      f"{rr:.3e}/{ri:.3e} exceed delta={factors.delta:g}")
         self.factors = factors
-        self._u, self._t_il = _svd_operator(factors)
+        self._u, self._t_il = factors.operator
 
     def _curve(self, x12: np.ndarray) -> np.ndarray:
         return _svd_apply(self._u, self._t_il, x12)

@@ -9,11 +9,15 @@ keeping the smallest rank K_a whose retained singular energy reaches
 (1 - delta) times ||W_a||_F^2. The online estimator then needs only two
 skinny real matrix products per frame instead of one complex Q x (N/2+1)
 product.
+
+On the symmetric angle grid row Q-1-q of W is the conjugate of row q, so
+W_R's rows mirror and W_I's mirror with a sign; each SVD then runs on the
+ceil(Q/2) folded rows only, and U is unfolded from them.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,14 @@ RECON_SLACK = 1e-9  # absolute slack over delta for rounding in reconstruction c
 
 @dataclass(frozen=True)
 class LowRankFactors:
-    """Truncated factors of the split steering matrix."""
+    """Truncated factors of the split steering matrix.
+
+    ``operator`` is derived from them once: the stacked real pair (U, T_il) of
+    the low-rank curve U_R (T_R Re X12) - U_I (T_I Im X12). U = [U_R, -U_I] is
+    Q x (K_R+K_I). T_il is (K_R+K_I) x 2(N/2+1) and acts on the interleaved
+    (re, im) float64 view of X12: its first K_R rows hold T_R on the even
+    columns, its last K_I rows hold T_I on the odd columns.
+    """
 
     u_r: np.ndarray  # Q x K_R
     t_r: np.ndarray  # K_R x (N/2+1)
@@ -37,6 +48,15 @@ class LowRankFactors:
     k_r: int
     k_i: int
     delta: float
+    operator: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        k_r, bins = self.t_r.shape
+        t_il = np.zeros((k_r + self.t_i.shape[0], 2 * bins))
+        t_il[:k_r, 0::2] = self.t_r
+        t_il[k_r:, 1::2] = self.t_i
+        u = np.concatenate((self.u_r, -self.u_i), axis=1)
+        object.__setattr__(self, "operator", (u, t_il))
 
 
 def split_steering(w: SteeringMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -56,8 +76,16 @@ def select_rank(singular_values: np.ndarray, frobenius_sq: float, delta: float) 
 
 
 def _factor_part(w_part: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, int]:
+    # rows that mirror exactly (W_R) or with a sign (W_I on a symmetric grid) are
+    # folded: the SVD of [sqrt(2) top; middle] has the same singular values and
+    # right vectors, and U unfolds to [top / sqrt(2); middle; sign * top[::-1] / sqrt(2)].
+    # A part with no mirrored rows folds nothing (h = 0).
+    q = w_part.shape[0]
+    sign = 1.0 if np.array_equal(w_part[::-1], w_part) else -1.0
+    h = q // 2 if np.array_equal(w_part[::-1], sign * w_part) else 0
+    folded = np.concatenate((np.sqrt(2.0) * w_part[:h], w_part[h:q - h]))
     try:
-        u, s, vt = np.linalg.svd(w_part, full_matrices=False)
+        u, s, vt = np.linalg.svd(folded, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed on a {w_part.shape} steering part: {exc}") from exc
     fro_sq = float(np.sum(w_part * w_part))
@@ -65,7 +93,8 @@ def _factor_part(w_part: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarr
     cum = np.cumsum(s * s)
     if k > 1 and cum[k - 2] >= (1.0 - delta) * fro_sq:
         raise NumericalError(f"rank {k} is not minimal for delta={delta}")
-    u_k = np.ascontiguousarray(u[:, :k])
+    top = u[:h, :k] / np.sqrt(2.0)
+    u_k = np.concatenate((top, u[h:, :k], sign * top[::-1]))
     t_k = np.ascontiguousarray(s[:k, None] * vt[:k])
     err_sq = float(np.sum(np.square(u_k @ t_k - w_part)))
     if err_sq > delta * fro_sq + RECON_SLACK:

@@ -60,13 +60,16 @@ def cross_spectrum(x1: np.ndarray, x2: np.ndarray, out: np.ndarray | None = None
     Accepts single spectra or batches of frames (last axis = bins). Bins whose
     magnitude product falls below MAG_FLOOR are set to exactly zero instead of
     dividing by (nearly) nothing. out, an array of the inputs' shape and
-    promoted complex dtype that shares no memory with them, receives the
-    result and is returned.
+    promoted complex dtype that shares no memory with them (InputError
+    otherwise), receives the result and is returned.
     """
     x1 = np.asarray(x1)
     x2 = np.asarray(x2)
     if x1.shape != x2.shape:
         raise DimensionError(f"spectrum shapes differ: {x1.shape} vs {x2.shape}")
+    if out is not None and (np.may_share_memory(out, x1) or np.may_share_memory(out, x2)):
+        # conj(x2) goes into out before x1 and |x2| are read
+        raise InputError("out shares memory with an input spectrum")
     # always x1 * conj(x2), in that operand order: `x1 * np.conj(x2)` lets numpy
     # reuse the conj temporary from 256 KiB on and compute conj(x2) * x1, which
     # FMA code rounds differently, so a frame's value would depend on batch size

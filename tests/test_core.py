@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gccdoa.core import (GccParams, normalization_gains, steering_matrix,
-                         theta_grid)
+from gccdoa.core import (AngularGrid, GccParams, normalization_gains,
+                         steering_matrix, theta_grid)
 from gccdoa.errors import ConfigurationError
 
 TABLE = GccParams()
@@ -130,3 +130,50 @@ class TestSteeringMatrix:
         small = theta_grid(GccParams(q=5))
         with pytest.raises(ConfigurationError):
             steering_matrix(TABLE, small)
+
+
+def all_rows(params, grid):
+    """Every row evaluated by the defining formula, mirrored or not."""
+    k = np.arange(params.half_bins)
+    return normalization_gains(params.n) * np.exp(
+        1j * ((2.0 * np.pi / params.n) * np.outer(grid.taus, k)))
+
+
+def assert_same_bits(a, b):
+    # stricter than np.array_equal: a zero's sign counts too
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestMirroredSteeringRows:
+    """The rows mirrored from the first ceil(Q/2) are the ones the formula gives."""
+
+    @pytest.mark.parametrize("q", [2, 3, 180, 181])
+    def test_equals_all_rows_formula(self, q):
+        p = GccParams(q=q)
+        g = theta_grid(p)
+        assert_same_bits(steering_matrix(p, g).entries, all_rows(p, g))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(q=st.integers(2, 2000), dist=st.floats(1e-4, 5.48))
+    def test_equals_all_rows_formula_for_random_grids(self, q, dist):
+        p = GccParams(q=q, dist=dist)
+        g = theta_grid(p)
+        w = steering_matrix(p, g).entries
+        assert_same_bits(w, all_rows(p, g))
+        assert np.array_equal(w, np.conj(w[::-1]))
+
+    def test_asymmetric_grid_evaluates_every_row(self):
+        g = theta_grid(TABLE)
+        taus = g.taus.copy()
+        taus[0] = np.nextafter(taus[0], 0.0)  # one ulp off the mirror of taus[-1]
+        grid = AngularGrid(thetas=g.thetas, taus=taus)
+        w = steering_matrix(TABLE, grid).entries
+        assert_same_bits(w, all_rows(TABLE, grid))
+        assert not np.array_equal(w[0], np.conj(w[-1]))
+
+    def test_permuted_grid_evaluates_every_row(self):
+        g = theta_grid(TABLE)
+        order = np.random.default_rng(13).permutation(TABLE.q)
+        grid = AngularGrid(thetas=g.thetas[order], taus=g.taus[order])
+        assert_same_bits(steering_matrix(TABLE, grid).entries, all_rows(TABLE, grid))

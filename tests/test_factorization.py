@@ -118,6 +118,78 @@ class TestFactorize:
             factorize(W, 1e-5)
 
 
+class TestFoldedFactorization:
+    """Each SVD runs on the ceil(Q/2) folded rows of a mirrored part."""
+
+    @staticmethod
+    def spy_svd(monkeypatch):
+        shapes, svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return shapes
+
+    def test_left_factors_mirror_exactly(self):
+        f = factorize(W, 1e-5)
+        assert np.array_equal(f.u_r[::-1], f.u_r)
+        assert np.array_equal(f.u_i[::-1], -f.u_i)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-5, 1e-12])
+    def test_ranks_equal_those_of_the_full_svd(self, delta):
+        f = factorize(W, delta)
+        for part, k in zip(split_steering(W), (f.k_r, f.k_i)):
+            s = np.linalg.svd(part, compute_uv=False)
+            assert k == select_rank(s, float(np.sum(part * part)), delta)
+
+    @pytest.mark.parametrize("q", [180, 181])
+    def test_svd_sees_folded_rows(self, monkeypatch, q):
+        p = GccParams(q=q)
+        w = steering_matrix(p, theta_grid(p))
+        shapes = self.spy_svd(monkeypatch)
+        f = factorize(w, p.delta)
+        assert shapes == [((q + 1) // 2, p.half_bins)] * 2
+        assert f.u_r.shape[0] == f.u_i.shape[0] == q
+        assert max(reconstruction_ratios(f, w)) <= p.delta
+
+    def test_permuted_rows_get_full_svds(self, monkeypatch):
+        from gccdoa.core import SteeringMatrix
+        order = np.random.default_rng(14).permutation(TABLE.q)
+        shuffled = SteeringMatrix(gains=W.gains, entries=W.entries[order])
+        shapes = self.spy_svd(monkeypatch)
+        f = factorize(shuffled, 1e-5)
+        assert shapes == [W.entries.shape] * 2
+        # a row permutation leaves the singular values, hence the ranks, alone
+        assert (f.k_r, f.k_i) == REFERENCE_RANKS
+        rr, ri = reconstruction_ratios(f, shuffled)
+        assert rr <= 1e-5 and ri <= 1e-5
+
+
+class TestStackedOperator:
+    """The (U, T_il) pair of the low-rank curve is built once per factor set."""
+
+    def test_operator_layout(self):
+        f = factorize(W, 1e-5)
+        u, t_il = f.operator
+        assert np.array_equal(u, np.concatenate((f.u_r, -f.u_i), axis=1))
+        assert np.array_equal(t_il[:f.k_r, 0::2], f.t_r) and not t_il[:f.k_r, 1::2].any()
+        assert np.array_equal(t_il[f.k_r:, 1::2], f.t_i) and not t_il[f.k_r:, 0::2].any()
+
+    def test_operator_left_out_of_eq_and_repr(self):
+        import dataclasses
+        f = factorize(W, 1e-5)
+        # the copy shares every array but builds its own operator
+        assert dataclasses.replace(f) == f
+        assert "operator" not in repr(f)
+
+    def test_estimator_reads_the_factors_operator(self):
+        from gccdoa.estimators import SvdEstimator
+        f = factorize(W, 1e-5)
+        est = SvdEstimator(TABLE, f)
+        assert est._u is f.operator[0] and est._t_il is f.operator[1]
+
+
 class TestFactorFile:
     def test_round_trip_is_bit_exact(self, tmp_path):
         f = factorize(W, 1e-5)

@@ -250,6 +250,23 @@ class TestCrossSpectrum:
         assert cross_spectrum(*voiced, out=out) is out
         assert np.array_equal(out, cross_spectrum(*voiced))
 
+    def test_out_sharing_memory_with_an_input_rejected(self):
+        x1, x2 = self._spectra((4, 257))
+        for out in (x1, x2, x1[1:], x2.view()):
+            before = (x1.copy(), x2.copy())
+            with pytest.raises(InputError):
+                cross_spectrum(x1, x2, out=out)
+            assert np.array_equal(x1, before[0]) and np.array_equal(x2, before[1])
+
+    def test_out_beside_its_inputs_in_one_workspace(self):
+        # disjoint slices of one array, as gccdoa estimate's workspace holds them
+        x1, x2 = self._spectra((4, 257))
+        ws = np.empty((3, 4, 257), dtype=complex)
+        ws[0], ws[1] = x1, x2
+        out = ws[2]
+        assert cross_spectrum(ws[0], ws[1], out=out) is out
+        assert np.array_equal(out, cross_spectrum(x1, x2))
+
     @pytest.mark.parametrize("dtypes", [(np.complex64, np.complex128),
                                         (np.complex128, np.complex64)])
     def test_mixed_precision_promotes(self, dtypes):
