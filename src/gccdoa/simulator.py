@@ -32,6 +32,8 @@ CATEGORIES = tuple(CATEGORY_BOUNDS)
 WALL_CLEARANCE = 0.5  # meters kept between any point and every wall
 RIR_LENGTH = 4096     # default impulse response length in samples
 KERNEL_HALF = 40      # fractional-delay sinc kernel spans 2*KERNEL_HALF+1 taps
+# images per block of `image_rir`: its taps, not a parity's, bound the memory
+_IMAGE_BLOCK = 256
 
 GEOMETRY_STREAM, SOURCE_STREAM, NOISE_STREAM = 0, 1, 2
 
@@ -146,7 +148,7 @@ def _kernel_taps(f: np.ndarray, amp: np.ndarray) -> np.ndarray:
     b = _HANN_STEP * f
     scale = amp * np.sin(np.pi * f)
     # einsum rather than a BLAS product, whose rounding depends on the row count:
-    # a tap's value must not depend on how many images share its parity
+    # a tap's value must depend neither on how many images share its parity nor on its block
     taps = np.einsum("ik,kj->ij", np.stack([scale, scale * np.cos(b), scale * np.sin(b)], axis=1),
                      _TAP_BASIS)
     den = _TAP_OFFS - f[:, None]
@@ -181,8 +183,8 @@ def image_rir(room: RoomSpec, source, mic, rate: int, length: int = RIR_LENGTH,
     _check_inside("microphone", mic, dims)
     if length <= 0:
         raise ConfigurationError(f"RIR length must be positive, got {length}")
-    if not rate > 0 or not speed > 0:
-        raise ConfigurationError(f"sample rate and speed of sound must be positive, "
+    if not 0 < rate < np.inf or not 0 < speed < np.inf:
+        raise ConfigurationError(f"sample rate and speed of sound must be positive and finite, "
                                  f"got rate={rate} speed={speed}")
 
     c = float(speed)
@@ -195,9 +197,11 @@ def image_rir(room: RoomSpec, source, mic, rate: int, length: int = RIR_LENGTH,
         orders = np.ceil(max_dist / (2.0 * dims)).astype(int)
         grids, parities = [np.arange(-o, o + 1, dtype=np.float64) for o in orders], range(8)
 
-    # every tap lands in a buffer offset by KERNEL_HALF, so none needs a mask;
-    # the response is the buffer's middle `length` samples
+    # every tap lands in a buffer offset by KERNEL_HALF, so none needs a mask; a delay
+    # just below length + KERNEL_HALF rounds up to it, whose last tap is the buffer's
+    # last sample. The response is the buffer's middle `length` samples
     h = np.zeros(length)
+    buf = np.empty(length + 3 * KERNEL_HALF + 1)
     for p in parities:
         pv = ((p >> 2) & 1, (p >> 1) & 1, p & 1)
         # image offsets and reflection counts separate per axis
@@ -212,10 +216,13 @@ def image_rir(room: RoomSpec, source, mic, rate: int, length: int = RIR_LENGTH,
         refl = _lattice_sum([np.abs(r + q) + np.abs(r) for q, r in zip(pv, grids)])[keep]
         amp = beta**refl / (4.0 * np.pi * dist)
         base = round_half_away(delay).astype(np.int64)
-        taps = _kernel_taps(delay - base, amp)
-        idx = base[:, None] + (_TAP_OFFS + KERNEL_HALF)
-        h += np.bincount(idx.ravel(), weights=taps.ravel(),
-                         minlength=length + 2 * KERNEL_HALF + 1)[KERNEL_HALF:KERNEL_HALF + length]
+        buf[:] = 0.0
+        for b0 in range(0, base.size, _IMAGE_BLOCK):
+            blk = slice(b0, b0 + _IMAGE_BLOCK)
+            idx = (base[blk, None] + (_TAP_OFFS + KERNEL_HALF)).ravel()
+            # adds in input order, as np.bincount does: the block size changes no bit
+            np.add.at(buf, idx, _kernel_taps(delay[blk] - base[blk], amp[blk]).ravel())
+        h += buf[KERNEL_HALF:KERNEL_HALF + length]
     return h
 
 

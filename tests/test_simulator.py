@@ -1,7 +1,9 @@
 """Room sampling, geometry, image-method RIRs, rendering, and the manifest."""
 import dataclasses
 import json
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,6 +145,23 @@ class TestImageRir:
         with pytest.raises(ConfigurationError):
             image_rir(**{**args, **kwargs})
 
+    @pytest.mark.parametrize("beta", [0.0, 0.6])
+    @pytest.mark.parametrize("kwargs", [dict(rate=np.inf), dict(speed=np.inf)])
+    def test_infinite_rate_or_speed_rejected(self, kwargs, beta):
+        """An infinite rate or speed is no response to render: the check raises
+        before the image orders are cast to int, so no warning comes first."""
+        args = dict(room=RoomSpec(dims=(5.0, 5.0, 3.0), beta=beta), source=[1.0, 1.0, 1.0],
+                    mic=[3.0, 2.0, 1.5], rate=RATE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="positive and finite"):
+                image_rir(**{**args, **kwargs})
+
+    @pytest.mark.parametrize("beta", [0.0, 0.6])
+    def test_render_rejects_infinite_rate(self, beta):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            render(_tiny_scenario(beta=beta), np.ones(1000), rate=np.inf, length=512)
+
 
 def _per_tap_rir(room, source, mic, rate, length, speed=343.0):
     """Oracle: the earlier renderer, np.sinc and np.cos on every tap and a masked bincount."""
@@ -262,6 +281,133 @@ class TestImageRirOracle:
         mic = source + np.array([137.3 * 343.0 / RATE, 0.0, 0.0])
         h = _assert_matches_oracle(room, source, mic, RIR_LENGTH)
         assert np.array_equal(np.flatnonzero(h), np.arange(137 - KERNEL_HALF, 137 + KERNEL_HALF + 1))
+
+
+def _bincount_rir(room, source, mic, rate, length):
+    """Oracle: the earlier accumulation, every kept image of a parity at once into
+    one bincount. Returns the response and, per parity, its kept images' delays in
+    the order they are added."""
+    dims, source, mic = (np.asarray(a, dtype=np.float64) for a in (room.dims, source, mic))
+    if room.beta == 0.0:
+        grids, parities = [np.zeros(1)] * 3, (0,)
+    else:
+        orders = np.ceil((length + KERNEL_HALF) * 343.0 / rate / (2.0 * dims)).astype(int)
+        grids, parities = [np.arange(-o, o + 1, dtype=np.float64) for o in orders], range(8)
+    h, kept = np.zeros(length), {}
+    for p in parities:
+        pv = ((p >> 2) & 1, (p >> 1) & 1, p & 1)
+        sq = [((1.0 - 2.0 * q) * s + 2.0 * r * d - m) ** 2
+              for q, s, r, d, m in zip(pv, source, grids, dims, mic)]
+        dist = np.maximum(np.sqrt(simulator._lattice_sum(sq)), 1e-6)
+        delay = dist * rate / 343.0
+        keep = delay < length + KERNEL_HALF
+        if not np.any(keep):
+            continue
+        dist, delay = dist[keep], delay[keep]
+        kept[p] = delay
+        refl = simulator._lattice_sum([np.abs(r + q) + np.abs(r) for q, r in zip(pv, grids)])[keep]
+        amp = room.beta**refl / (4.0 * np.pi * dist)
+        base = round_half_away(delay).astype(np.int64)
+        taps = simulator._kernel_taps(delay - base, amp)
+        idx = base[:, None] + (np.arange(-KERNEL_HALF, KERNEL_HALF + 1) + KERNEL_HALF)
+        h += np.bincount(idx.ravel(), weights=taps.ravel(),
+                         minlength=length + 2 * KERNEL_HALF + 1)[KERNEL_HALF:KERNEL_HALF + length]
+    return h, kept
+
+
+_SMALL_ROOM = RoomSpec(dims=(7.5, 7.5, 4.0), beta=0.6)
+_SMALL_SOURCE, _SMALL_MIC = (2.2, 4.6, 1.6), (5.1, 3.3, 2.4)
+
+
+class TestBlockAccumulation:
+    """Adding a parity's taps one block of images at a time gives the bits of
+    one bincount over all of them, and memory no longer grows with the images."""
+
+    def _assert_bits(self, room, source, mic, length=RIR_LENGTH):
+        ref, kept = _bincount_rir(room, source, mic, RATE, length)
+        assert np.array_equal(image_rir(room, source, mic, RATE, length), ref)
+        return {p: delay.size for p, delay in kept.items()}
+
+    def test_parities_of_several_blocks(self):
+        kept = self._assert_bits(_SMALL_ROOM, _SMALL_SOURCE, _SMALL_MIC)
+        assert min(kept.values()) > 2 * simulator._IMAGE_BLOCK, kept
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_one_block_and_one_block_plus_one(self, monkeypatch, extra):
+        length = 512
+        _, kept = _bincount_rir(_SMALL_ROOM, _SMALL_SOURCE, _SMALL_MIC, RATE, length)
+        for p in (0, 5):
+            # parity p's kept images fill one block exactly, or one block and one image
+            monkeypatch.setattr(simulator, "_IMAGE_BLOCK", kept[p].size - extra)
+            self._assert_bits(_SMALL_ROOM, _SMALL_SOURCE, _SMALL_MIC, length)
+
+    def test_anechoic_single_image(self):
+        room = dataclasses.replace(_SMALL_ROOM, beta=0.0)
+        assert self._assert_bits(room, _SMALL_SOURCE, _SMALL_MIC) == {0: 1}
+
+    def test_short_length_drops_images(self):
+        kept = self._assert_bits(_SMALL_ROOM, _SMALL_SOURCE, _SMALL_MIC, 200)
+        _, kept_full = _bincount_rir(_SMALL_ROOM, _SMALL_SOURCE, _SMALL_MIC, RATE, RIR_LENGTH)
+        assert all(kept[p] < kept_full[p].size for p in kept)
+
+    @pytest.mark.parametrize("below", [0.25, 0.75])
+    def test_direct_delay_just_below_the_cutoff(self, below):
+        """A delay of length + KERNEL_HALF - 0.25 rounds up to the cutoff, so its
+        last tap is the buffer's last sample; - 0.75 puts a tap in the response."""
+        length = 256
+        room = RoomSpec(dims=(8.0, 9.0, 4.0), beta=0.0)
+        source = np.array([1.0, 3.0, 1.5])
+        mic = source + [(length + KERNEL_HALF - below) * 343.0 / RATE, 0.0, 0.0]
+        delay = np.linalg.norm(mic - source) * RATE / 343.0
+        assert delay < length + KERNEL_HALF
+        assert round_half_away(delay) == length + KERNEL_HALF - (below > 0.5)
+        self._assert_bits(room, source, mic, length)
+        assert (image_rir(room, source, mic, RATE, length)[-1] != 0.0) == (below > 0.5)
+
+    def test_added_image_just_below_the_cutoff(self, monkeypatch):
+        """An image that rounds up to the cutoff and is not its parity's first is
+        added into the buffer, whose last sample its last tap then reaches."""
+        _, full = _bincount_rir(_SMALL_ROOM, _SMALL_SOURCE, _SMALL_MIC, RATE, 1024)
+        length = min(int(round_half_away(d)) - KERNEL_HALF for delay in full.values()
+                     for d in delay[1:] if d - np.floor(d) >= 0.5 and d > delay[0] + 1.0)
+        _, kept = _bincount_rir(_SMALL_ROOM, _SMALL_SOURCE, _SMALL_MIC, RATE, length)
+        cut = [delay for delay in kept.values()
+               if delay.size > 1 and round_half_away(delay[1:]).max() == length + KERNEL_HALF]
+        assert cut
+        monkeypatch.setattr(simulator, "_IMAGE_BLOCK", 1)
+        self._assert_bits(_SMALL_ROOM, _SMALL_SOURCE, _SMALL_MIC, length)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dims=st.tuples(*[st.floats(1.5, 9.0)] * 3),
+           src=st.tuples(*[st.floats(0.01, 0.99)] * 3), mic=st.tuples(*[st.floats(0.01, 0.99)] * 3),
+           beta=st.sampled_from([0.0, 0.3, 0.6, 0.9]), length=st.integers(16, 600),
+           block=st.sampled_from([7, 64, 256]))
+    def test_property_any_room_and_positions(self, dims, src, mic, beta, length, block):
+        room = RoomSpec(dims=dims, beta=beta)
+        src, mic = np.multiply(src, dims), np.multiply(mic, dims)
+        with mock.patch.object(simulator, "_IMAGE_BLOCK", block):
+            self._assert_bits(room, src, mic, length)
+
+    def test_traced_memory_is_bounded_by_the_block(self):
+        """The tracemalloc peak, which sees numpy's buffers, of one response in the
+        7.5 m room stays within 4x of the 20 m room's, which keeps ~13x fewer
+        images: ~0.78 against ~0.46 MB, where a bincount over each parity's
+        images at once read ~4.5 against ~0.49 MB."""
+        rooms = {"small": (_SMALL_ROOM, _SMALL_SOURCE, _SMALL_MIC),
+                 "large": (RoomSpec(dims=(20.0, 20.0, 7.5), beta=0.6), (6.1, 13.2, 2.3),
+                           (14.4, 7.9, 4.6))}
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, (room, source, mic) in rooms.items():
+                image_rir(room, source, mic, RATE)
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                image_rir(room, source, mic, RATE)
+                peaks[name] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peaks["small"] <= 4 * peaks["large"], peaks
 
 
 class TestSpeechLikeSource:
