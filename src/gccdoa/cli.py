@@ -59,7 +59,7 @@ def cmd_factorize(args) -> int:
     w = steering_matrix(params, theta_grid(params))
     factors = factorization.factorize(w, params.delta)
     factorization.save_factors(factors, args.out)
-    rr, ri = factorization.reconstruction_ratios(factors, w)
+    rr, ri = factors.measured_ratios()
     print(f"K_R={factors.k_r} K_I={factors.k_i} "
           f"recon_ratio_R={rr:.3e} recon_ratio_I={ri:.3e} -> {args.out}")
     return 0

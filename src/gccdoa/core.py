@@ -20,6 +20,7 @@ estimators only read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,12 +61,12 @@ class GccParams:
             raise ConfigurationError(f"frame size must be even and >= 4, got n={self.n}")
         if not 0 < self.hop <= self.n:
             raise ConfigurationError(f"hop must be in (0, n], got hop={self.hop}")
-        if self.dist <= 0:
-            raise ConfigurationError(f"microphone spacing must be positive, got {self.dist}")
-        if self.speed <= 0:
-            raise ConfigurationError(f"speed of sound must be positive, got {self.speed}")
-        if self.rate <= 0:
-            raise ConfigurationError(f"sample rate must be positive, got {self.rate}")
+        if not 0 < self.dist < np.inf:  # written so that NaN fails too
+            raise ConfigurationError(f"microphone spacing must be positive and finite, got {self.dist}")
+        if not 0 < self.speed < np.inf:
+            raise ConfigurationError(f"speed of sound must be positive and finite, got {self.speed}")
+        if not 0 < self.rate < np.inf:
+            raise ConfigurationError(f"sample rate must be positive and finite, got {self.rate}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must be in (0, 1), got {self.delta}")
         if self.interp not in ALLOWED_INTERP:
@@ -142,19 +143,26 @@ def normalization_gains(n: int) -> np.ndarray:
 
 
 def steering_matrix(params: GccParams, grid: AngularGrid) -> SteeringMatrix:
-    """Assemble W[q, k] = g[k] * exp(j * 2*pi * k * taus[q] / N)."""
+    """Assemble W[q, k] = g[k] * exp(j * 2*pi * k * taus[q] / N); built once per (N, taus)
+    in a process and shared read-only, as ``stft.window_samples`` shares its windows."""
     if grid.thetas.shape != (params.q,) or grid.taus.shape != (params.q,):
         raise ConfigurationError(
             f"grid has {grid.taus.shape[0]} angles but params.q={params.q}")
-    gains = normalization_gains(params.n)
-    k = np.arange(params.half_bins)
-    taus = grid.taus
+    return _steering(params.n, grid.taus.dtype.str, grid.taus.tobytes())
+
+
+@lru_cache(maxsize=4)
+def _steering(n: int, dtype: str, raw: bytes) -> SteeringMatrix:
+    taus = np.frombuffer(raw, dtype)
+    q = len(taus)
+    gains = normalization_gains(n)
+    k = np.arange(len(gains))
     # on an exactly odd grid (theta_grid's) row Q-1-q is the conjugate of row q,
     # so only the first ceil(Q/2) rows are evaluated; any other grid mirrors none
-    h = params.q // 2 if np.array_equal(taus, -taus[::-1]) else 0
-    top = params.q - h
-    entries = np.empty((params.q, params.half_bins), np.complex128)
-    phases = (2.0 * np.pi / params.n) * np.outer(taus[:top], k)
+    h = q // 2 if np.array_equal(taus, -taus[::-1]) else 0
+    top = q - h
+    entries = np.empty((q, len(k)), np.complex128)
+    phases = (2.0 * np.pi / n) * np.outer(taus[:top], k)
     np.multiply(gains, np.exp(1j * phases), out=entries[:top])
     mirror = entries[:h][::-1]
     entries[top:].real = mirror.real

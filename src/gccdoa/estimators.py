@@ -284,13 +284,15 @@ class SvdEstimator(_PreparedEstimator):
     def __init__(self, params: GccParams, factors: LowRankFactors | None = None):
         super().__init__(params, "svd")
         w = steering_matrix(params, self.grid)
-        if factors is None:
+        # factorize measures what it builds; supplied factors may fit another spacing
+        built = factors is None
+        if built:
             factors = factorize(w, params.delta)
         if factors.u_r.shape[0] != params.q or factors.t_r.shape[1] != params.half_bins:
             raise DimensionError(
                 f"factors are {factors.u_r.shape[0]} x {factors.t_r.shape[1]}, "
                 f"params need {params.q} x {params.half_bins}")
-        rr, ri = reconstruction_ratios(factors, w)
+        rr, ri = factors.measured_ratios() if built else reconstruction_ratios(factors, w)
         bound = factors.delta + RECON_SLACK
         if not (rr <= bound and ri <= bound):
             raise ConfigurationError(f"factors miss this steering matrix: reconstruction ratios "

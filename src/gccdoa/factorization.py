@@ -49,6 +49,8 @@ class LowRankFactors:
     k_i: int
     delta: float
     operator: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    # (||U_a T_a - W_a||_F^2, ||W_a||_F^2) for a in {R, I} from factorize's bound check, else None
+    sums: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k_r, bins = self.t_r.shape
@@ -57,6 +59,12 @@ class LowRankFactors:
         t_il[k_r:, 1::2] = self.t_i
         u = np.concatenate((self.u_r, -self.u_i), axis=1)
         object.__setattr__(self, "operator", (u, t_il))
+
+    def measured_ratios(self) -> tuple[float, float]:
+        """reconstruction_ratios against factorize's W, from the sums it checked: the same bits."""
+        if self.sums is None:
+            raise ValueError("these factors were not built by factorize; use reconstruction_ratios")
+        return tuple(float(np.float64(err) / fro) for err, fro in self.sums)
 
 
 def split_steering(w: SteeringMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -75,7 +83,7 @@ def select_rank(singular_values: np.ndarray, frobenius_sq: float, delta: float) 
     return min(k, s.size)
 
 
-def _factor_part(w_part: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _factor_part(w_part: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, int, tuple]:
     # rows that mirror exactly (W_R) or with a sign (W_I on a symmetric grid) are
     # folded: the SVD of [sqrt(2) top; middle] has the same singular values and
     # right vectors, and U unfolds to [top / sqrt(2); middle; sign * top[::-1] / sqrt(2)].
@@ -100,15 +108,17 @@ def _factor_part(w_part: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarr
     if err_sq > delta * fro_sq + RECON_SLACK:
         raise NumericalError(
             f"reconstruction error {err_sq:.3e} exceeds delta * ||W||_F^2 = {delta * fro_sq:.3e}")
-    return u_k, t_k, k
+    return u_k, t_k, k, (err_sq, fro_sq)
 
 
 def factorize(w: SteeringMatrix, delta: float) -> LowRankFactors:
     """Truncated SVD factors of both parts of the steering matrix."""
     w_r, w_i = split_steering(w)
-    u_r, t_r, k_r = _factor_part(w_r, delta)
-    u_i, t_i, k_i = _factor_part(w_i, delta)
-    return LowRankFactors(u_r=u_r, t_r=t_r, u_i=u_i, t_i=t_i, k_r=k_r, k_i=k_i, delta=delta)
+    u_r, t_r, k_r, sums_r = _factor_part(w_r, delta)
+    u_i, t_i, k_i, sums_i = _factor_part(w_i, delta)
+    factors = LowRankFactors(u_r=u_r, t_r=t_r, u_i=u_i, t_i=t_i, k_r=k_r, k_i=k_i, delta=delta)
+    object.__setattr__(factors, "sums", (sums_r, sums_i))
+    return factors
 
 
 def reconstruction_ratios(factors: LowRankFactors, w: SteeringMatrix) -> tuple[float, float]:

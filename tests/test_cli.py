@@ -48,6 +48,17 @@ class TestFactorize:
         assert main(["factorize", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_prints_the_ratios_it_checked_without_measuring_again(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        calls = []
+        monkeypatch.setattr(factorization, "reconstruction_ratios",
+                            lambda *a: calls.append(a) or (0.0, 0.0))
+        out = tmp_path / "w.gsvd"
+        assert main(["factorize", "--out", str(out)]) == 0
+        assert calls == []
+        assert capsys.readouterr().out == (
+            f"K_R=5 K_I=4 recon_ratio_R=8.069e-08 recon_ratio_I=2.829e-06 -> {out}\n")
+
 
 class TestEstimate:
     def test_broadside_ndjson(self, tmp_path, broadside_wav):
@@ -128,6 +139,15 @@ class TestEstimate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "8000" in err and "16000" in err
+
+    @pytest.mark.parametrize("flag", [["--dist", "nan"], ["--speed", "inf"]])
+    def test_non_finite_param_exits_2_and_writes_nothing(self, tmp_path, broadside_wav, flag,
+                                                         capsys):
+        out = tmp_path / "est.ndjson"
+        assert main(["estimate", str(broadside_wav), *flag, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "positive and finite" in err
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_unknown_method_rejected(self, tmp_path, broadside_wav, capsys):
         rc = main(["estimate", str(broadside_wav), "--method", "fft03",

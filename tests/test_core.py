@@ -33,6 +33,13 @@ class TestGccParams:
         with pytest.raises(ConfigurationError):
             GccParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["dist", "speed", "rate"])
+    def test_non_finite_signal_chain_rejected(self, field, value):
+        # NaN passes an `x <= 0` check, and an infinite speed makes every lag 0
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            GccParams(**{field: value})
+
 
 class TestThetaGrid:
     def test_endpoints_and_center(self):
@@ -177,3 +184,45 @@ class TestMirroredSteeringRows:
         order = np.random.default_rng(13).permutation(TABLE.q)
         grid = AngularGrid(thetas=g.thetas[order], taus=g.taus[order])
         assert_same_bits(steering_matrix(TABLE, grid).entries, all_rows(TABLE, grid))
+
+
+class TestSteeringCache:
+    """W is built once per (N, taus) in a process and shared read-only."""
+
+    def test_equal_parameter_sets_share_one_matrix(self):
+        a, b = GccParams(), GccParams()
+        assert steering_matrix(a, theta_grid(a)) is steering_matrix(b, theta_grid(b))
+
+    def test_shared_entries_are_the_formulas_bits(self):
+        g = theta_grid(TABLE)
+        steering_matrix(TABLE, g)
+        assert_same_bits(steering_matrix(TABLE, g).entries, all_rows(TABLE, g))
+
+    @pytest.mark.parametrize("other", [GccParams(dist=0.06), GccParams(n=1024)])
+    def test_other_dist_or_frame_size_gets_its_own_matrix(self, other):
+        w = steering_matrix(other, theta_grid(other))
+        assert w is not steering_matrix(TABLE, theta_grid(TABLE))
+        assert_same_bits(w.entries, all_rows(other, theta_grid(other)))
+
+    def test_grid_one_ulp_off_gets_its_own_matrix(self):
+        g = theta_grid(TABLE)
+        taus = g.taus.copy()
+        taus[7] = np.nextafter(taus[7], np.inf)
+        grid = AngularGrid(thetas=g.thetas, taus=taus)
+        w = steering_matrix(TABLE, grid)
+        assert w is not steering_matrix(TABLE, g)
+        assert_same_bits(w.entries, all_rows(TABLE, grid))
+
+    def test_each_call_returns_its_own_sets_bits(self):
+        # more parameter sets than the cache holds, then the first again
+        sets = [GccParams(dist=d) for d in (0.05, 0.04, 0.03, 0.02, 0.01, 0.05)]
+        for p in sets + sets[::-1]:
+            g = theta_grid(p)
+            assert_same_bits(steering_matrix(p, g).entries, all_rows(p, g))
+
+    def test_shared_arrays_stay_read_only(self):
+        w = steering_matrix(TABLE, theta_grid(TABLE))
+        for a in (w.gains, w.entries):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert not steering_matrix(TABLE, theta_grid(TABLE)).entries.flags.writeable

@@ -326,6 +326,22 @@ class TestPreparedEstimators:
         est = SvdEstimator(TABLE)
         assert est.factors.delta == TABLE.delta
 
+    def test_svd_estimator_measures_only_supplied_factors(self, monkeypatch):
+        import gccdoa.estimators as estimators
+        calls = []
+        real = estimators.reconstruction_ratios
+        monkeypatch.setattr(estimators, "reconstruction_ratios",
+                            lambda *a: calls.append(a) or real(*a))
+        SvdEstimator(TABLE)  # factorize has just checked the factors it builds
+        assert calls == []
+        # supplied factors may come from another spacing, even if factorize built them
+        SvdEstimator(TABLE, factorize(W, TABLE.delta))
+        assert len(calls) == 1
+
+    def test_build_estimator_returns_a_fresh_instance_over_one_matrix(self):
+        a, b = build_estimator("mm", TABLE), build_estimator("mm", TABLE)
+        assert a is not b and a._entries is b._entries
+
     def test_svd_estimator_rejects_mismatched_factors(self):
         factors = factorize(W, 1e-2)
         with pytest.raises(DimensionError):

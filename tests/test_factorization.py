@@ -166,6 +166,35 @@ class TestFoldedFactorization:
         assert rr <= 1e-5 and ri <= 1e-5
 
 
+class TestMeasuredRatios:
+    """factorize keeps the sums of its bound check, so nobody measures its factors twice."""
+
+    @pytest.mark.parametrize("q", [180, 181])
+    def test_equal_reconstruction_ratios_bit_for_bit(self, q):
+        p = GccParams(q=q)
+        w = steering_matrix(p, theta_grid(p))
+        f = factorize(w, p.delta)
+        assert np.array_equal(np.array(f.measured_ratios()).view(np.uint64),
+                              np.array(reconstruction_ratios(f, w)).view(np.uint64))
+
+    def test_loaded_factors_carry_none(self, tmp_path):
+        path = tmp_path / "factors.gsvd"
+        save_factors(factorize(W, 1e-5), path)
+        with pytest.raises(ValueError):
+            load_factors(path).measured_ratios()
+
+    def test_broadside_row_factorizes_without_warning(self):
+        import warnings
+        from gccdoa.core import SteeringMatrix
+        # one zero-phase row: W_I is all zero, so its ratio would be 0/0
+        row = SteeringMatrix(gains=W.gains, entries=W.entries[90:91].copy())
+        assert not row.entries.imag.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = factorize(row, 1e-5)
+        assert (f.k_r, f.k_i) == (1, 1)
+
+
 class TestStackedOperator:
     """The (U, T_il) pair of the low-rank curve is built once per factor set."""
 
