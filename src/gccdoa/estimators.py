@@ -9,11 +9,11 @@ quantity: a correlation curve over the Q grid angles,
 - "fftNN"    zero-pads the spectrum by a factor i = NN, takes one real
              inverse FFT of length i*N, and reads the nearest lag per angle.
              The readout touches only the lags within about i*max_lag of zero
-             (153 of 16384 at i=32), so where two complex FFTs of length
-             M >= N/2 + window - 1 cost less than the i*N irfft (4*M < i*N:
-             NN >= 8 at the defaults) the estimator computes just that lag
-             window by a chirp-z (Bluestein) transform; its cost then hardly
-             grows with NN. fft_correlate keeps the full padded transform.
+             (153 of 16384 at i=32), and the estimator computes just those: by
+             chirp-z (Bluestein) where two complex FFTs of length M >= N/2 +
+             window - 1 cost less than the irfft (4*M < i*N: NN >= 8 at the
+             defaults), else by one real operator with a row per lag of the
+             window (NN <= 4). fft_correlate keeps the padded transform the paper times.
 - "fftNN-qi" additionally corrects each read with a quadratic fit through
              the three neighboring lags, evaluated at the fractional offset.
 - "svd"      replaces the exact product with two skinny real products from
@@ -29,6 +29,7 @@ their own scratch and are reentrant.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,7 +69,10 @@ def _check_spectrum(x12: np.ndarray, half_bins: int) -> np.ndarray:
 def _peak(values: np.ndarray, thetas: np.ndarray) -> DoaEstimate:
     # the ndarray method skips the dispatch wrapper of the numpy function (~1.4 us/frame)
     q = int(values.argmax())
-    return DoaEstimate(q, float(thetas[q]), float(values[q]))
+    energy = float(values[q])
+    if not math.isfinite(energy):  # argmax stops at the first NaN, so NaN anywhere shows here
+        raise InputError("correlation curve peaks at a non-finite value (NaN or inf)")
+    return DoaEstimate(q, float(thetas[q]), energy)
 
 
 def _mm_curve(entries: np.ndarray, x12: np.ndarray) -> np.ndarray:
@@ -163,9 +167,13 @@ def _read_lags(samples: np.ndarray, lags: np.ndarray, weights: np.ndarray | None
     return samples[lags] if weights is None else np.einsum("ij,ij->j", weights, samples[lags])
 
 
-def _svd_apply(u: np.ndarray, t_il: np.ndarray, x12: np.ndarray) -> np.ndarray:
+def _interleaved(x12: np.ndarray) -> np.ndarray:
     # a contiguous complex128 frame is viewed, not copied
-    return u @ (t_il @ np.ascontiguousarray(x12, dtype=np.complex128).view(np.float64))
+    return np.ascontiguousarray(x12, dtype=np.complex128).view(np.float64)
+
+
+def _svd_apply(u: np.ndarray, t_il: np.ndarray, x12: np.ndarray) -> np.ndarray:
+    return u @ (t_il @ _interleaved(x12))
 
 
 def mm_correlate(w: SteeringMatrix, x12: np.ndarray) -> np.ndarray:
@@ -246,7 +254,7 @@ class MatrixEstimator(_PreparedEstimator):
 
 
 class FftEstimator(_PreparedEstimator):
-    """Zero-padded-IFFT back-end, optionally with quadratic correction."""
+    """Zero-padded-IFFT back-end over the lag window it reads, optionally with quadratic correction."""
 
     def __init__(self, params: GccParams, qi: bool = False):
         super().__init__(params, f"fft{params.interp:02d}" + ("-qi" if qi else ""))
@@ -257,20 +265,30 @@ class FftEstimator(_PreparedEstimator):
         signed = (lags + i_n // 2) % i_n - i_n // 2
         lo = int(signed.min())
         count = int(signed.max()) - lo + 1
+        self._chirp = self._op = None
+        self._lags = signed - lo
         # two length-M complex FFTs against one i*N/2-point complex FFT
         if 4 * _chirp_length(self._bins, count) < i_n:
             self._chirp = _chirp_window(gains, params.interp, lo, count)
-            self._lags = signed - lo
+        # count rows of N/2+1 complex multiply-adds against i*N*log2(i*N) for the irfft
+        elif count * self._bins <= i_n * math.log2(i_n):
+            # row of lag m: g[k] exp(2*pi*j*k*m/(i*N)) as (re, -im) pairs, k*m mod i*N in integers
+            turns = np.exp((2j * np.pi / i_n) * np.arange(i_n))
+            rows = gains * turns[np.outer(np.arange(lo, lo + count), np.arange(self._bins)) % i_n]
+            op = np.stack([rows.real, -rows.imag], axis=-1)
+            op[:, [0, -1] if params.interp == 1 else 0, 1] = 0.0  # the edges read only Re X12
+            self._op = op.reshape(count, -1)
         else:
-            self._chirp = None
             self._gs = _padded_gains(gains, params.interp)
             self._lags = lags
 
     def _curve(self, x12: np.ndarray) -> np.ndarray:
-        if self._chirp is None:
-            samples = _padded_lags(self._gs, self.params.interp, x12)
-        else:
+        if self._chirp is not None:
             samples = _chirp_lags(*self._chirp, x12)
+        elif self._op is not None:
+            samples = self._op @ _interleaved(x12)
+        else:
+            samples = _padded_lags(self._gs, self.params.interp, x12)
         return _read_lags(samples, self._lags, self._weights)
 
 

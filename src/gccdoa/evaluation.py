@@ -133,8 +133,8 @@ def run_bench(methods, n_frames: int, params: GccParams | None = None,
               warmup: int = 100, seed: int = DEFAULT_BENCH_SEED) -> list[TimingReport]:
     """Mean/median per-call wall time of estimate() on a shared random batch.
 
-    Strictly sequential and single-threaded; preparation happens before any
-    clock starts. n_frames >= 1000 is recommended for stable means.
+    One call at a time, though BLAS may thread a product (OpenBLAS does by default);
+    set-up runs before any clock starts. n_frames >= 1000 gives stable means.
     """
     if n_frames < 1:
         raise ConfigurationError(f"need at least one frame, got {n_frames}")

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gccdoa.core import AngularGrid, GccParams, normalization_gains, steering_matrix, theta_grid
@@ -285,6 +285,28 @@ class TestPickPeak:
         assert est.theta_est == GRID.thetas[q0]
         assert est.energy == pytest.approx(GAIN_SUM, rel=1e-12)
 
+    @pytest.mark.parametrize("where", [slice(None), 0, 90, 180])
+    def test_nan_curve_rejected(self, where):
+        values = np.zeros(TABLE.q)
+        values[where] = np.nan
+        with pytest.raises(InputError, match="non-finite"):
+            pick_peak(values, GRID)
+
+
+class TestNonFiniteFrames:
+    """A frame with one NaN or infinite bin fails loudly; it never yields a plausible angle."""
+
+    @pytest.mark.parametrize("name", method_names())
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_estimate_rejects_a_non_finite_bin(self, name, bad):
+        est = build_estimator(name, TABLE)
+        for k in (0, 1, 128, 256):
+            x = synthetic_spectrum(0.7)
+            x[k] = complex(bad, 0.0)
+            # numpy warns of the NaN it makes on the way; the estimate must still fail
+            with np.errstate(invalid="ignore"), pytest.raises(InputError, match="non-finite"):
+                est.estimate(x)
+
 
 class TestBoundedness:
     @pytest.mark.parametrize("name", ["mm", "fft01", "fft08", "fft02-qi", "fft32-qi", "svd"])
@@ -451,6 +473,73 @@ class TestChirpWindow:
         nudged = x.copy()
         nudged[0] = x[0].real + 5j
         assert est._curve(nudged) == pytest.approx(est._curve(x), abs=1e-12)
+
+
+class TestLagOperator:
+    """Where the readout's lags are few, fft01..fft04 run one real operator on the
+    interleaved spectrum in place of the padded irfft, with the same readout."""
+
+    def test_operator_only_below_the_transform_cost(self):
+        # one row per lag of the window, round(i * max_lag) = 2, 5, 9 either side of zero
+        # (qi: one more), far below i*N*log2(i*N) / (N/2+1) for i <= 4
+        rows = {1: 5, 2: 11, 4: 19}
+        for interp in (1, 2, 4, 8, 16, 32):
+            for qi in (False, True):
+                est = FftEstimator(GccParams(interp=interp), qi=qi)
+                assert (est._op is not None) == (interp <= 4)
+                if est._op is not None:
+                    assert est._op.shape == (rows[interp] + 2 * qi, 514)
+
+    @pytest.mark.parametrize("params, kept", [
+        (GccParams(dist=1.0, interp=1), "transform"), (GccParams(dist=1.0, interp=4), "transform"),
+        (GccParams(q=3601, interp=4), "operator")])
+    def test_wide_spacing_or_large_q_stays_bounded(self, params, kept):
+        # 1 m spreads the reads over ~i*93 lags, too many rows; 3601 angles still read 21 lags
+        grid = theta_grid(params)
+        est = FftEstimator(params, qi=True)
+        assert est._chirp is None
+        assert (est._op is None) == (kept == "transform")
+        if est._op is not None:
+            assert est._op.shape == (21, 514)
+        for x in unit_modulus_batch(10, seed=47):
+            ref = qi_correlate(fft_correlate(x, params), grid, params)
+            assert np.max(np.abs(est._curve(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("interp", [1, 2, 4])
+    def test_edge_bins_use_real_part_only(self, interp):
+        # DC always, and Nyquist at i = 1 only: for i > 1 it is an interior bin of the irfft
+        est = FftEstimator(GccParams(interp=interp))
+        x = unit_modulus_batch(1, seed=48)[0]
+        nudged = x.copy()
+        nudged[0] += 5j
+        if interp == 1:
+            nudged[-1] += 5j
+        assert np.array_equal(est._curve(nudged), est._curve(x))
+
+
+_PREPARED_FFT = {name: build_estimator(name, TABLE) for name in method_names() if name.startswith("fft")}
+
+
+class TestPreparedFftMatchesPaddedTransform:
+    """Random spectra, silent bins and all-silent frames: every prepared fftNN and
+    fftNN-qi picks the same peak as fft_correlate + map_lags / qi_correlate. A
+    nearest-lag readout gives runs of angles the same value, so each fftNN frame is
+    an exact first-index tie, and a silent frame is one at every angle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), silent=st.floats(0.0, 1.0), scale=st.floats(1e-6, 1e6))
+    @example(seed=0, silent=1.0, scale=1.0)
+    def test_same_peak_as_the_padded_readout(self, seed, silent, scale):
+        rng = np.random.default_rng(seed)
+        x = scale * (rng.standard_normal(257) + 1j * rng.standard_normal(257))
+        x[rng.uniform(size=257) < silent] = 0.0
+        for name, est in _PREPARED_FFT.items():
+            y = fft_correlate(x, est.params)
+            curve = (qi_correlate if est.qi else map_lags)(y, est.grid, est.params)
+            ref = pick_peak(curve, est.grid)
+            e = est.estimate(x)
+            assert e.q_max == ref.q_max, name
+            assert abs(e.energy - ref.energy) <= 1e-12 * np.max(np.abs(curve)), name
 
 
 _WIDEST_DELAY_STEP = float(np.max(np.diff(GRID.taus)))
