@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (ALLOWED_INTERP, AngularGrid, GccParams, SteeringMatrix,
-                   normalization_gains, round_half_away, steering_matrix,
-                   theta_grid)
+                   _freeze, normalization_gains, round_half_away,
+                   steering_matrix, theta_grid)
 from .errors import ConfigurationError, DimensionError, InputError
 from .factorization import (RECON_SLACK, LowRankFactors, factorize,
                             reconstruction_ratios)
@@ -136,6 +137,12 @@ def _chirp_window(gains: np.ndarray, interp: int, lo: int,
     filt[n % m] = chirp(-n * n)
     post = chirp(np.arange(count, dtype=np.int64) ** 2)
     return gains * chirp(k * k + 2 * lo * k), np.fft.fft(filt), post
+
+
+@lru_cache(maxsize=8)
+def _turns(i_n: int) -> np.ndarray:
+    """exp(2*pi*j*m/(i*N)) for m in [0, i*N): built once per i*N and shared, so read-only."""
+    return _freeze(np.exp((2j * np.pi / i_n) * np.arange(i_n)))
 
 
 def _chirp_lags(pre: np.ndarray, filt: np.ndarray, post: np.ndarray, x12: np.ndarray) -> np.ndarray:
@@ -273,8 +280,7 @@ class FftEstimator(_PreparedEstimator):
         # count rows of N/2+1 complex multiply-adds against i*N*log2(i*N) for the irfft
         elif count * self._bins <= i_n * math.log2(i_n):
             # row of lag m: g[k] exp(2*pi*j*k*m/(i*N)) as (re, -im) pairs, k*m mod i*N in integers
-            turns = np.exp((2j * np.pi / i_n) * np.arange(i_n))
-            rows = gains * turns[np.outer(np.arange(lo, lo + count), np.arange(self._bins)) % i_n]
+            rows = gains * _turns(i_n)[np.outer(np.arange(lo, lo + count), np.arange(self._bins)) % i_n]
             op = np.stack([rows.real, -rows.imag], axis=-1)
             op[:, [0, -1] if params.interp == 1 else 0, 1] = 0.0  # the edges read only Re X12
             self._op = op.reshape(count, -1)

@@ -13,11 +13,20 @@ product.
 On the symmetric angle grid row Q-1-q of W is the conjugate of row q, so
 W_R's rows mirror and W_I's mirror with a sign; each SVD then runs on the
 ceil(Q/2) folded rows only, and U is unfolded from them.
+
+``factorize`` runs on one BLAS thread and restores the caller's count after:
+on a folded part of ~91 x 257 the hand-offs between OpenBLAS threads cost
+more than they save. The per-frame products of the estimators keep the
+library default. Where numpy's BLAS is not OpenBLAS the count is left alone.
 """
 from __future__ import annotations
 
+import ctypes
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +37,10 @@ from .errors import DimensionError, FormatError, NumericalError
 MAGIC = b"GPHAT-SVD\x00"
 VERSION = 1
 RECON_SLACK = 1e-9  # absolute slack over delta for rounding in reconstruction checks
+
+# name patterns of OpenBLAS's thread-count calls, as numpy's wheels and distributions link it
+_OPENBLAS_PREFIXES = ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}")
+_BLAS_SCOPE = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -111,11 +124,52 @@ def _factor_part(w_part: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarr
     return u_k, t_k, k, (err_sq, fro_sq)
 
 
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get_num_threads, set_num_threads) of the OpenBLAS numpy linked, or None.
+
+    dlsym on numpy's own LAPACK module also searches the libraries it links.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in _OPENBLAS_PREFIXES:
+        get = getattr(lib, prefix.format("get_num_threads"), None)
+        set_ = getattr(lib, prefix.format("set_num_threads"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the count read on entry.
+
+    The lock keeps a concurrent scope from reading this one's 1 and restoring it.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _BLAS_SCOPE:
+        before = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(before)
+
+
 def factorize(w: SteeringMatrix, delta: float) -> LowRankFactors:
-    """Truncated SVD factors of both parts of the steering matrix."""
+    """Truncated SVD factors of both parts of the steering matrix, on one BLAS thread."""
     w_r, w_i = split_steering(w)
-    u_r, t_r, k_r, sums_r = _factor_part(w_r, delta)
-    u_i, t_i, k_i, sums_i = _factor_part(w_i, delta)
+    with _one_blas_thread():
+        u_r, t_r, k_r, sums_r = _factor_part(w_r, delta)
+        u_i, t_i, k_i, sums_i = _factor_part(w_i, delta)
     factors = LowRankFactors(u_r=u_r, t_r=t_r, u_i=u_i, t_i=t_i, k_r=k_r, k_i=k_i, delta=delta)
     object.__setattr__(factors, "sums", (sums_r, sums_i))
     return factors

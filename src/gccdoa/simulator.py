@@ -14,6 +14,7 @@ stream 2 the rendering noise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,21 +138,26 @@ def _check_inside(name: str, pos: np.ndarray, dims: np.ndarray) -> None:
 #   amp * sin(pi*f) * [1, cos b, sin b] @ _TAP_BASIS / (o - f),
 # three transcendentals per image instead of two per tap.
 _TAP_OFFS = np.arange(-KERNEL_HALF, KERNEL_HALF + 1)
+_TAP_SLOTS = _TAP_OFFS + KERNEL_HALF  # tap offsets within a buffer shifted by KERNEL_HALF
 _HANN_STEP = np.pi / (KERNEL_HALF + 0.5)
 _TAP_BASIS = (np.where(_TAP_OFFS % 2, 0.5, -0.5) / np.pi
               * np.stack([np.ones(_TAP_OFFS.size), np.cos(_HANN_STEP * _TAP_OFFS),
                           np.sin(_HANN_STEP * _TAP_OFFS)]))
 
 
-def _kernel_taps(f: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """(images, 2*KERNEL_HALF+1) Hann-windowed sinc taps, scaled by amp."""
+def _kernel_taps(f: np.ndarray, amp: np.ndarray, taps: np.ndarray | None = None,
+                 den: np.ndarray | None = None) -> np.ndarray:
+    """(images, 2*KERNEL_HALF+1) Hann-windowed sinc taps, scaled by amp.
+
+    Written into ``taps`` with ``den`` as scratch where the caller passes them.
+    """
     b = _HANN_STEP * f
     scale = amp * np.sin(np.pi * f)
     # einsum rather than a BLAS product, whose rounding depends on the row count:
     # a tap's value must depend neither on how many images share its parity nor on its block
     taps = np.einsum("ik,kj->ij", np.stack([scale, scale * np.cos(b), scale * np.sin(b)], axis=1),
-                     _TAP_BASIS)
-    den = _TAP_OFFS - f[:, None]
+                     _TAP_BASIS, out=taps)
+    den = np.subtract(_TAP_OFFS, f[:, None], out=den)
     # an integer delay puts the sinc's 0/0 on tap o = 0, where the kernel is 1
     exact = np.flatnonzero(f == 0.0)
     den[exact, KERNEL_HALF] = 1.0
@@ -202,6 +208,11 @@ def image_rir(room: RoomSpec, source, mic, rate: int, length: int = RIR_LENGTH,
     # last sample. The response is the buffer's middle `length` samples
     h = np.zeros(length)
     buf = np.empty(length + 3 * KERNEL_HALF + 1)
+    # one block's taps, denominators and tap indices, reused by every block of every
+    # parity (a view for the last, partial one), so a block maps no new pages
+    rows = min(_IMAGE_BLOCK, math.prod(g.size for g in grids))
+    taps, den = np.empty((rows, _TAP_SLOTS.size)), np.empty((rows, _TAP_SLOTS.size))
+    idx = np.empty((rows, _TAP_SLOTS.size), np.int64)
     for p in parities:
         pv = ((p >> 2) & 1, (p >> 1) & 1, p & 1)
         # image offsets and reflection counts separate per axis
@@ -217,11 +228,13 @@ def image_rir(room: RoomSpec, source, mic, rate: int, length: int = RIR_LENGTH,
         amp = beta**refl / (4.0 * np.pi * dist)
         base = round_half_away(delay).astype(np.int64)
         buf[:] = 0.0
-        for b0 in range(0, base.size, _IMAGE_BLOCK):
-            blk = slice(b0, b0 + _IMAGE_BLOCK)
-            idx = (base[blk, None] + (_TAP_OFFS + KERNEL_HALF)).ravel()
+        for b0 in range(0, base.size, rows):
+            m = min(rows, base.size - b0)
+            blk = slice(b0, b0 + m)
+            np.add(base[blk, None], _TAP_SLOTS, out=idx[:m])
+            _kernel_taps(delay[blk] - base[blk], amp[blk], taps[:m], den[:m])
             # adds in input order, as np.bincount does: the block size changes no bit
-            np.add.at(buf, idx, _kernel_taps(delay[blk] - base[blk], amp[blk]).ravel())
+            np.add.at(buf, idx[:m].ravel(), taps[:m].ravel())
         h += buf[KERNEL_HALF:KERNEL_HALF + length]
     return h
 

@@ -1,11 +1,14 @@
 """Steering split, rank selection, factor invariants, and the file format."""
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gccdoa import factorization
 from gccdoa.core import GccParams, steering_matrix, theta_grid
 from gccdoa.errors import DimensionError, FormatError, NumericalError
 from gccdoa.estimators import mm_correlate, svd_correlate
@@ -217,6 +220,85 @@ class TestStackedOperator:
         f = factorize(W, 1e-5)
         est = SvdEstimator(TABLE, f)
         assert est._u is f.operator[0] and est._t_il is f.operator[1]
+
+
+BLAS = factorization._openblas_threads()
+
+
+@pytest.mark.skipif(BLAS is None, reason="numpy's BLAS exposes no OpenBLAS thread-count calls")
+class TestOneBlasThread:
+    """factorize runs on one OpenBLAS thread and gives the caller's count back."""
+
+    @pytest.fixture(autouse=True)
+    def count(self):
+        get, set_ = BLAS
+        before = get()
+        yield before
+        set_(before)
+
+    @staticmethod
+    def spy_counts(monkeypatch):
+        counts, svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            counts.append(BLAS[0]())
+            return svd(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return counts
+
+    def test_count_restored_after_factorize(self, count):
+        get, set_ = BLAS
+        # the library default, then a count set before the call
+        for wanted in (count, 2 if count == 1 else 1):
+            set_(wanted)
+            factorize(W, 1e-5)
+            assert get() == wanted
+
+    def test_count_restored_after_svd_raises(self, monkeypatch, count):
+        def boom(*a, **k):
+            raise np.linalg.LinAlgError("did not converge")
+        monkeypatch.setattr(np.linalg, "svd", boom)
+        with pytest.raises(NumericalError):
+            factorize(W, 1e-5)
+        assert BLAS[0]() == count
+
+    def test_svd_runs_on_one_thread(self, monkeypatch):
+        counts = self.spy_counts(monkeypatch)
+        factorize(W, 1e-5)
+        assert counts == [1, 1]
+
+    def test_concurrent_factorize_restores_the_count(self, monkeypatch, count):
+        # more threads than a small host has cores, switching often
+        threads, calls = 4, 5
+        counts = self.spy_counts(monkeypatch)
+        start, built = threading.Barrier(threads, timeout=60), []
+
+        def run():
+            start.wait()
+            built.extend(factorize(W, 1e-5) for _ in range(calls))
+        workers = [threading.Thread(target=run) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert len(built) == threads * calls and counts == [1] * (2 * threads * calls)
+        assert BLAS[0]() == count
+
+    def test_without_openblas_factors_are_the_same_bits(self, monkeypatch, count):
+        scoped = factorize(W, TABLE.delta)
+        monkeypatch.setattr(factorization, "_openblas_threads", lambda: None)
+        counts = self.spy_counts(monkeypatch)
+        plain = factorize(W, TABLE.delta)
+        assert counts == [count, count]
+        for name in ("u_r", "t_r", "u_i", "t_i"):
+            assert np.array_equal(getattr(plain, name), getattr(scoped, name))
+        assert plain.measured_ratios() == scoped.measured_ratios()
 
 
 class TestFactorFile:
