@@ -9,11 +9,13 @@ quantity: a correlation curve over the Q grid angles,
 - "fftNN"    zero-pads the spectrum by a factor i = NN, takes one real
              inverse FFT of length i*N, and reads the nearest lag per angle.
              The readout touches only the lags within about i*max_lag of zero
-             (153 of 16384 at i=32), and the estimator computes just those: by
-             chirp-z (Bluestein) where two complex FFTs of length M >= N/2 +
-             window - 1 cost less than the irfft (4*M < i*N: NN >= 8 at the
-             defaults), else by one real operator with a row per lag of the
-             window (NN <= 4). fft_correlate keeps the padded transform the paper times.
+             (153 of 16384 at i=32), and the estimator computes just those, by
+             whichever of three paths costs least: one real operator with a
+             row per lag of the window (every NN at the defaults, 5-153 rows),
+             chirp-z (Bluestein) with two complex FFTs of length M >= N/2 +
+             window - 1 where the window outgrows the operator (wide spacings
+             at NN >= 8), or the padded irfft itself. fft_correlate keeps the
+             padded transform the paper times.
 - "fftNN-qi" additionally corrects each read with a quadratic fit through
              the three neighboring lags, evaluated at the fractional offset.
 - "svd"      replaces the exact product with two skinny real products from
@@ -139,10 +141,25 @@ def _chirp_window(gains: np.ndarray, interp: int, lo: int,
     return gains * chirp(k * k + 2 * lo * k), np.fft.fft(filt), post
 
 
-@lru_cache(maxsize=8)
-def _turns(i_n: int) -> np.ndarray:
-    """exp(2*pi*j*m/(i*N)) for m in [0, i*N): built once per i*N and shared, so read-only."""
-    return _freeze(np.exp((2j * np.pi / i_n) * np.arange(i_n)))
+@lru_cache(maxsize=12)
+def _lag_operator(n: int, interp: int, lo: int, count: int) -> np.ndarray:
+    """Real (count x 2(N/2+1)) operator for the padded lags lo .. lo+count-1 of
+    the spectrum read as interleaved (re, im) pairs; built once per window (12:
+    every fftNN and fftNN-qi name at one set of params) and shared, so read-only.
+
+    Row l holds g[k] exp(-2*pi*j*k*m/(i*N)) for lag m = lo + l, read as
+    (re, im) pairs, with k*m reduced mod i*N in integers so the phases stay
+    exact. Only the count x (N/2+1) phases the rows use are evaluated, in the
+    one complex array that the operator then views.
+    """
+    i_n = interp * n
+    gains = normalization_gains(n)
+    rows = np.outer(np.arange(lo, lo + count), np.arange(len(gains))) % i_n * (2j * np.pi / i_n)
+    np.exp(rows, out=rows)
+    rows *= gains
+    np.conjugate(rows, out=rows)
+    rows.imag[:, [0, -1] if interp == 1 else 0] = 0.0  # the edges read only Re X12
+    return _freeze(rows.view(np.float64))
 
 
 def _chirp_lags(pre: np.ndarray, filt: np.ndarray, post: np.ndarray, x12: np.ndarray) -> np.ndarray:
@@ -274,16 +291,16 @@ class FftEstimator(_PreparedEstimator):
         count = int(signed.max()) - lo + 1
         self._chirp = self._op = None
         self._lags = signed - lo
-        # two length-M complex FFTs against one i*N/2-point complex FFT
-        if 4 * _chirp_length(self._bins, count) < i_n:
+        # Per-frame cost of each path, in the operator's count x (N/2+1) multiply-adds:
+        # i*N*log2(i*N) for the irfft, 10*M*log2(M) for chirp-z, whose two length-M
+        # complex FFTs must also beat one i*N/2-point one (4*M < i*N). Chirp-z is
+        # overhead-bound at these sizes: timed on numpy 2.4 / OpenBLAS (2 cores), the
+        # operator broke even with it at 10-23 x M*log2(M) for M <= 1024, 6-15 at M = 2048.
+        m = _chirp_length(self._bins, count)
+        if 4 * m < i_n and count * self._bins > 10 * m * math.log2(m):
             self._chirp = _chirp_window(gains, params.interp, lo, count)
-        # count rows of N/2+1 complex multiply-adds against i*N*log2(i*N) for the irfft
         elif count * self._bins <= i_n * math.log2(i_n):
-            # row of lag m: g[k] exp(2*pi*j*k*m/(i*N)) as (re, -im) pairs, k*m mod i*N in integers
-            rows = gains * _turns(i_n)[np.outer(np.arange(lo, lo + count), np.arange(self._bins)) % i_n]
-            op = np.stack([rows.real, -rows.imag], axis=-1)
-            op[:, [0, -1] if params.interp == 1 else 0, 1] = 0.0  # the edges read only Re X12
-            self._op = op.reshape(count, -1)
+            self._op = _lag_operator(params.n, params.interp, lo, count)
         else:
             self._gs = _padded_gains(gains, params.interp)
             self._lags = lags

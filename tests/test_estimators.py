@@ -1,5 +1,6 @@
 """Back-end correctness: oracles, frozen arithmetic, and cross-method properties."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,10 @@ from gccdoa.core import AngularGrid, GccParams, normalization_gains, steering_ma
 from gccdoa.errors import ConfigurationError, DimensionError, InputError
 from gccdoa.evaluation import DEFAULT_BENCH_SEED
 from gccdoa.estimators import (DoaEstimate, FftEstimator, InterpolatedLags,
-                               MatrixEstimator, SvdEstimator, build_estimator,
-                               fft_correlate, map_lags, method_names,
-                               mm_correlate, parse_method, pick_peak,
-                               qi_correlate, svd_correlate)
+                               MatrixEstimator, SvdEstimator, _lag_operator,
+                               build_estimator, fft_correlate, map_lags,
+                               method_names, mm_correlate, parse_method,
+                               pick_peak, qi_correlate, svd_correlate)
 from gccdoa.factorization import factorize
 
 TABLE = GccParams()
@@ -307,6 +308,20 @@ class TestNonFiniteFrames:
             with np.errstate(invalid="ignore"), pytest.raises(InputError, match="non-finite"):
                 est.estimate(x)
 
+    @pytest.mark.parametrize("name", [f"fft{i:02d}{qi}" for i in (8, 16, 32) for qi in ("", "-qi")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lag_operator_fails_without_a_numpy_warning(self, name, bad):
+        # fft08..fft32 read their window through the real operator at the defaults, as
+        # fft01..fft04 do: a caller that turns warnings into errors still gets InputError
+        est = build_estimator(name, TABLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0, 1, 128, 256):
+                x = synthetic_spectrum(0.7)
+                x[k] = complex(bad, 0.0)
+                with pytest.raises(InputError, match="non-finite"):
+                    est.estimate(x)
+
 
 class TestBoundedness:
     @pytest.mark.parametrize("name", ["mm", "fft01", "fft08", "fft02-qi", "fft32-qi", "svd"])
@@ -458,13 +473,15 @@ class TestChirpWindow:
             assert np.max(np.abs(est._curve(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_chirp_z_only_where_two_short_ffts_are_cheaper(self):
-        # 4*M < i*N with M = 512 at the defaults: the irfft for i <= 4, chirp-z from i = 8
+        # at the defaults every window's rows cost less than 10*M*log2(M), M = 512
         for interp in (1, 2, 4, 8, 16, 32):
             for qi in (False, True):
-                est = FftEstimator(GccParams(interp=interp), qi=qi)
-                assert (est._chirp is not None) == (interp >= 8)
-                if est._chirp is not None:
-                    assert len(est._chirp[1]) == 512
+                assert FftEstimator(GccParams(interp=interp), qi=qi)._chirp is None
+        # 0.2 m at i = 32 reads ~600 lags: 600 rows cost more than two 1024-point FFTs
+        for qi in (False, True):
+            est = FftEstimator(GccParams(dist=0.2, q=91, interp=32), qi=qi)
+            assert est._op is None
+            assert len(est._chirp[1]) == 1024
 
     def test_edge_bins_use_real_part_only(self):
         params = GccParams(interp=16)
@@ -480,15 +497,13 @@ class TestLagOperator:
     interleaved spectrum in place of the padded irfft, with the same readout."""
 
     def test_operator_only_below_the_transform_cost(self):
-        # one row per lag of the window, round(i * max_lag) = 2, 5, 9 either side of zero
-        # (qi: one more), far below i*N*log2(i*N) / (N/2+1) for i <= 4
-        rows = {1: 5, 2: 11, 4: 19}
+        # one row per lag of the window, round(i * max_lag) = 2, 5, 9, 19, 37, 75 either side
+        # of zero (qi: one more), below i*N*log2(i*N) and 10*M*log2(M) at every i
+        rows = {1: 5, 2: 11, 4: 19, 8: 39, 16: 75, 32: 151}
         for interp in (1, 2, 4, 8, 16, 32):
             for qi in (False, True):
                 est = FftEstimator(GccParams(interp=interp), qi=qi)
-                assert (est._op is not None) == (interp <= 4)
-                if est._op is not None:
-                    assert est._op.shape == (rows[interp] + 2 * qi, 514)
+                assert est._op.shape == (rows[interp] + 2 * qi, 514)
 
     @pytest.mark.parametrize("params, kept", [
         (GccParams(dist=1.0, interp=1), "transform"), (GccParams(dist=1.0, interp=4), "transform"),
@@ -515,6 +530,45 @@ class TestLagOperator:
         if interp == 1:
             nudged[-1] += 5j
         assert np.array_equal(est._curve(nudged), est._curve(x))
+
+
+def _full_table_operator(n: int, interp: int, lo: int, count: int) -> np.ndarray:
+    """The window's operator gathered from all i*N twiddles exp(2*pi*j*m/(i*N))."""
+    i_n = interp * n
+    gains = normalization_gains(n)
+    turns = np.exp((2j * np.pi / i_n) * np.arange(i_n))
+    rows = gains * turns[np.outer(np.arange(lo, lo + count), np.arange(n // 2 + 1)) % i_n]
+    op = np.stack([rows.real, -rows.imag], axis=-1)
+    op[:, [0, -1] if interp == 1 else 0, 1] = 0.0
+    return op.reshape(count, -1)
+
+
+class TestLagOperatorCache:
+    """Each lag window's operator is built once per process and shared read-only."""
+
+    def test_two_estimators_share_one_read_only_operator(self):
+        a = FftEstimator(GccParams(interp=32), qi=True)
+        b = build_estimator("fft32-qi", GccParams())
+        assert a._op is b._op
+        assert not a._op.flags.writeable
+        with pytest.raises(ValueError):
+            a._op[0, 0] = 0.0
+
+    @pytest.mark.parametrize("base", [GccParams(), GccParams(n=384), GccParams(dist=0.2, q=91)])
+    @pytest.mark.parametrize("interp", [1, 2, 4, 8, 16, 32])
+    def test_shared_operator_has_the_bits_of_an_uncached_build(self, base, interp):
+        params = replace(base, interp=interp)
+        for qi in (False, True):
+            op = FftEstimator(params, qi=qi)._op
+            if op is None:
+                continue
+            # an odd grid reads a window symmetric about lag 0
+            count = op.shape[0]
+            assert count % 2 == 1
+            window = (params.n, interp, -(count // 2), count)
+            for ref in (_lag_operator.__wrapped__(*window), _full_table_operator(*window)):
+                assert ref.shape == op.shape and ref.dtype == op.dtype
+                assert np.array_equal(ref.view(np.uint64), op.view(np.uint64))
 
 
 _PREPARED_FFT = {name: build_estimator(name, TABLE) for name in method_names() if name.startswith("fft")}
