@@ -89,12 +89,17 @@ def write_stereo_wav(path, ch1: np.ndarray, ch2: np.ndarray, rate: int,
     """Interleave two channels into a 16-bit PCM stereo file.
 
     With normalize=True both channels are scaled by one shared factor to a
-    0.99 peak, preserving the interchannel level ratio.
+    0.99 peak, preserving the interchannel level ratio. Empty channels and
+    non-finite samples raise InputError before the file is opened.
     """
     ch1 = np.asarray(ch1, dtype=np.float64)
     ch2 = np.asarray(ch2, dtype=np.float64)
     if ch1.shape != ch2.shape or ch1.ndim != 1:
         raise DimensionError(f"channel shapes differ: {ch1.shape} vs {ch2.shape}")
+    if ch1.size == 0:
+        raise InputError("no samples to write")
+    if not (np.isfinite(ch1).all() and np.isfinite(ch2).all()):
+        raise InputError("a channel holds a non-finite sample (NaN or inf)")
     peak = max(np.max(np.abs(ch1)), np.max(np.abs(ch2)), 1e-12)
     scale = 0.99 / peak if normalize and peak > 0.99 else 1.0
     interleaved = np.empty(2 * len(ch1))

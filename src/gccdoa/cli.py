@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
 from pathlib import Path
 
@@ -78,8 +78,8 @@ def _ndjson_block(est, wav, first, count, n, hop, window, pcm, spectra) -> tuple
     Only the block's samples are read and decoded, into pcm (2 x samples);
     spectra (3 x frames x bins, complex) holds both channels' spectra and
     their cross-spectrum. Each line is what json.dumps({"frame", "theta_deg",
-    "energy"}) writes: the values go through json.dumps as one list per
-    block, not one dict per frame.
+    "energy"}) writes: every value is a finite float (``estimate`` raises on
+    any other), and json.dumps writes a finite float as its repr.
     """
     ch1, ch2 = wav.read(first * hop, (first + count - 1) * hop + n, out=pcm)
     x1, x2, x12 = spectra[:, :count]
@@ -88,11 +88,9 @@ def _ndjson_block(est, wav, first, count, n, hop, window, pcm, spectra) -> tuple
     estimates = [est.estimate(frame) for frame in frames]
     # an all-zero PHAT frame (digital silence) has no direction: theta_deg is null
     silent = (~frames.any(axis=1)).tolist()
-    degrees = np.degrees([e.theta_est for e in estimates]).tolist()
-    thetas = json.dumps([None if quiet else t for t, quiet in zip(degrees, silent)])
-    energies = json.dumps([e.energy for e in estimates])
-    lines = [f'{{"frame": {i}, "theta_deg": {t}, "energy": {e}}}\n' for i, t, e in
-             zip(range(first, first + count), thetas[1:-1].split(", "), energies[1:-1].split(", "))]
+    lines = [f'{{"frame": {i}, "theta_deg": {"null" if quiet else repr(math.degrees(e.theta_est))}, '
+             f'"energy": {e.energy!r}}}\n'
+             for i, e, quiet in zip(range(first, first + count), estimates, silent)]
     return "".join(lines), sum(silent)
 
 

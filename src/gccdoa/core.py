@@ -154,18 +154,7 @@ def steering_matrix(params: GccParams, grid: AngularGrid) -> SteeringMatrix:
 @lru_cache(maxsize=4)
 def _steering(n: int, dtype: str, raw: bytes) -> SteeringMatrix:
     taus = np.frombuffer(raw, dtype)
-    q = len(taus)
     gains = normalization_gains(n)
     k = np.arange(len(gains))
-    # on an exactly odd grid (theta_grid's) row Q-1-q is the conjugate of row q,
-    # so only the first ceil(Q/2) rows are evaluated; any other grid mirrors none
-    h = q // 2 if np.array_equal(taus, -taus[::-1]) else 0
-    top = q - h
-    entries = np.empty((q, len(k)), np.complex128)
-    phases = (2.0 * np.pi / n) * np.outer(taus[:top], k)
-    np.multiply(gains, np.exp(1j * phases), out=entries[:top])
-    mirror = entries[:h][::-1]
-    entries[top:].real = mirror.real
-    # 0 - x rather than -x: a zero phase keeps the +0 imaginary part exp gives it
-    np.subtract(0.0, mirror.imag, out=entries[top:].imag)
+    entries = gains * np.exp(1j * ((2.0 * np.pi / n) * np.outer(taus, k)))
     return SteeringMatrix(gains=gains, entries=_freeze(entries))

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import round_half_away
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, FormatError, InputError
 
 CATEGORY_BOUNDS = {
     "small": ((5.0, 10.0), (5.0, 10.0), (3.0, 5.0)),
@@ -345,11 +345,24 @@ def scenario_to_json(scenario: Scenario) -> str:
 
 
 def scenario_from_json(line: str) -> Scenario:
-    rec = json.loads(line)
-    return Scenario(room=RoomSpec(dims=tuple(rec["dims"]), beta=rec["beta"]),
-                    mic_a=tuple(rec["mic_a"]), mic_b=tuple(rec["mic_b"]),
-                    source=tuple(rec["source"]), theta0=rec["theta0"],
-                    snr_db=rec["snr_db"], seed=tuple(rec["seed"]))
+    """The Scenario of one manifest line.
+
+    A line that is not a JSON object holding every field of scenario_to_json,
+    or whose field has a type the Scenario cannot take, raises FormatError;
+    values that Scenario or RoomSpec reject raise ConfigurationError.
+    """
+    try:
+        rec = json.loads(line)
+        return Scenario(room=RoomSpec(dims=tuple(rec["dims"]), beta=rec["beta"]),
+                        mic_a=tuple(rec["mic_a"]), mic_b=tuple(rec["mic_b"]),
+                        source=tuple(rec["source"]), theta0=rec["theta0"],
+                        snr_db=rec["snr_db"], seed=tuple(rec["seed"]))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not JSON ({exc})") from None
+    except KeyError as exc:
+        raise FormatError(f"missing field {exc}") from None
+    except TypeError as exc:
+        raise FormatError(f"not a scenario record ({exc})") from None
 
 
 def write_manifest(scenarios: Sequence[Scenario], destination) -> None:
@@ -359,5 +372,13 @@ def write_manifest(scenarios: Sequence[Scenario], destination) -> None:
 
 
 def read_manifest(source) -> list[Scenario]:
+    """The scenarios of a manifest, one per non-blank line; an error names its line."""
+    scenarios = []
     with open(source) as fh:
-        return [scenario_from_json(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    scenarios.append(scenario_from_json(line))
+                except (FormatError, ConfigurationError) as exc:
+                    raise type(exc)(f"{source}, line {number}: {exc}") from None
+    return scenarios

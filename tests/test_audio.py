@@ -1,4 +1,5 @@
-"""The WAV reader: any span it decodes holds the bits of the whole-file decode."""
+"""The WAV reader: any span it decodes holds the bits of the whole-file decode; the writer
+rejects samples it cannot write."""
 import os
 import wave
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from gccdoa import audio
-from gccdoa.errors import FormatError
+from gccdoa.errors import FormatError, InputError
 
 
 def _noise_wav(path, frames):
@@ -107,3 +108,21 @@ def test_reader_closes_its_file(tmp_path):
     with audio.StereoWavReader(tmp_path / "a.wav", 16000) as wav:
         wav.read(0, 10)
     assert wav._file.closed
+
+
+@pytest.mark.parametrize("channel", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_writer_rejects_a_non_finite_sample(tmp_path, channel, bad, normalize):
+    """NaN would be written as 0 and inf would scale the pair to silence; neither is written."""
+    pair = [np.full(100, 0.5), np.full(100, 0.5)]
+    pair[channel][37] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        audio.write_stereo_wav(tmp_path / "a.wav", *pair, 16000, normalize=normalize)
+    assert not (tmp_path / "a.wav").exists()
+
+
+def test_writer_rejects_empty_channels(tmp_path):
+    with pytest.raises(InputError, match="no samples"):
+        audio.write_stereo_wav(tmp_path / "a.wav", np.zeros(0), np.zeros(0), 16000)
+    assert not (tmp_path / "a.wav").exists()

@@ -15,7 +15,7 @@ from scipy.signal import fftconvolve
 from gccdoa import simulator
 
 from gccdoa.core import round_half_away
-from gccdoa.errors import ConfigurationError, InputError
+from gccdoa.errors import ConfigurationError, FormatError, InputError
 from gccdoa.simulator import (CATEGORIES, CATEGORY_BOUNDS, KERNEL_HALF, RIR_LENGTH,
                               WALL_CLEARANCE, RoomSpec, Scenario, image_rir,
                               pair_doa, place_pair_and_source, random_scenario,
@@ -566,6 +566,51 @@ class TestManifest:
     def test_null_snr_survives(self):
         sc = _tiny_scenario(snr_db=None)
         assert scenario_from_json(scenario_to_json(sc)).snr_db is None
+
+
+class TestMalformedManifest:
+    """A line that is not a scenario record raises FormatError, not a bare decode or lookup error."""
+
+    def _record(self, **changes):
+        rec = json.loads(scenario_to_json(_tiny_scenario()))
+        rec.update(changes)
+        return rec
+
+    def test_line_that_is_not_json(self):
+        with pytest.raises(FormatError, match="not JSON"):
+            scenario_from_json(scenario_to_json(_tiny_scenario())[:-1])
+
+    @pytest.mark.parametrize("value", [[], [1.0, 2.0], "scenario", 3.5, None])
+    def test_json_value_that_is_not_an_object(self, value):
+        with pytest.raises(FormatError, match="not a scenario record"):
+            scenario_from_json(json.dumps(value))
+
+    @pytest.mark.parametrize("field,value", [
+        ("dims", 6.0), ("beta", "0.3"), ("mic_a", None), ("snr_db", "20"), ("seed", 77)])
+    def test_field_of_the_wrong_type(self, field, value):
+        with pytest.raises(FormatError, match="not a scenario record"):
+            scenario_from_json(json.dumps(self._record(**{field: value})))
+
+    @pytest.mark.parametrize("field", ["dims", "beta", "theta0", "snr_db", "seed"])
+    def test_missing_field(self, field):
+        rec = self._record()
+        del rec[field]
+        with pytest.raises(FormatError, match=f"missing field '{field}'"):
+            scenario_from_json(json.dumps(rec))
+
+    def test_rejected_value_stays_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="reflection coefficient"):
+            scenario_from_json(json.dumps(self._record(beta=1.5)))
+
+    def test_read_manifest_names_the_line(self, tmp_path):
+        path = tmp_path / "scenarios.jsonl"
+        good = scenario_to_json(_tiny_scenario())
+        path.write_text(f"{good}\n\n{good}\n{good[:-1]}\n")
+        with pytest.raises(FormatError, match=r"scenarios\.jsonl, line 4: not JSON"):
+            read_manifest(path)
+        path.write_text(f"{good}\n{json.dumps(self._record(snr_db=-1e999))}\n")
+        with pytest.raises(ConfigurationError, match=r"line 2: SNR must be"):
+            read_manifest(path)
 
 
 class TestNonFiniteInputsRejected:
