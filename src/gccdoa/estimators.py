@@ -63,10 +63,11 @@ class InterpolatedLags:
 
 
 def _check_spectrum(x12: np.ndarray, half_bins: int) -> np.ndarray:
+    # every kernel reads contiguous complex128: such a frame is returned as is, any other converted once
     x12 = np.asarray(x12)
     if x12.shape != (half_bins,):
         raise DimensionError(f"cross-spectrum shape {x12.shape}, expected ({half_bins},)")
-    return x12
+    return np.ascontiguousarray(x12, dtype=np.complex128)
 
 
 def _peak(values: np.ndarray, thetas: np.ndarray) -> DoaEstimate:
@@ -169,18 +170,18 @@ def _chirp_lags(pre: np.ndarray, filt: np.ndarray, post: np.ndarray, x12: np.nda
 
 
 def _lag_table(taus: np.ndarray, params: GccParams, qi: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Padded lags read per angle and their weights (None: read as is): the
-    nearest lag round(i * tau) mod i*N, ties away from zero, or with qi the
-    lags -1, 0, +1 around it, weighted to evaluate their parabola at the
-    fractional offset delta in [-0.5, 0.5] left over."""
-    i_n = params.interp * params.n
+    """Signed padded lags read per angle and their weights (None: read as is):
+    the nearest lag round(i * tau), ties away from zero, or with qi the lags
+    -1, 0, +1 around it, weighted to evaluate their parabola at the fractional
+    offset delta in [-0.5, 0.5] left over. A negative lag indexes the padded
+    transform from its end, which is the sample mod i*N."""
     r = params.interp * taus
     t0 = round_half_away(r)
-    idx = t0.astype(np.int64) % i_n
+    idx = t0.astype(np.int64)
     if not qi:
         return idx, None
     delta = r - t0
-    lags = np.stack([(idx - 1) % i_n, idx, (idx + 1) % i_n])
+    lags = np.stack([idx - 1, idx, idx + 1])
     weights = np.stack([0.5 * (delta * delta - delta),
                         1.0 - delta * delta,
                         0.5 * (delta * delta + delta)])
@@ -191,13 +192,8 @@ def _read_lags(samples: np.ndarray, lags: np.ndarray, weights: np.ndarray | None
     return samples[lags] if weights is None else np.einsum("ij,ij->j", weights, samples[lags])
 
 
-def _interleaved(x12: np.ndarray) -> np.ndarray:
-    # a contiguous complex128 frame is viewed, not copied
-    return np.ascontiguousarray(x12, dtype=np.complex128).view(np.float64)
-
-
 def _svd_apply(u: np.ndarray, t_il: np.ndarray, x12: np.ndarray) -> np.ndarray:
-    return u @ (t_il @ _interleaved(x12))
+    return u @ (t_il @ x12.view(np.float64))
 
 
 def mm_correlate(w: SteeringMatrix, x12: np.ndarray) -> np.ndarray:
@@ -220,7 +216,7 @@ def _check_lags(y: InterpolatedLags, params: GccParams) -> None:
 
 
 def map_lags(y: InterpolatedLags, grid: AngularGrid, params: GccParams) -> np.ndarray:
-    """Nearest-lag readout: values[q] = samples[round(i * tau_q) mod i*N]."""
+    """Nearest-lag readout: values[q] = samples[round(i * tau_q)], a negative lag read from the end."""
     _check_lags(y, params)
     return _read_lags(y.samples, *_lag_table(grid.taus, params, False))
 
@@ -228,9 +224,9 @@ def map_lags(y: InterpolatedLags, grid: AngularGrid, params: GccParams) -> np.nd
 def qi_correlate(y: InterpolatedLags, grid: AngularGrid, params: GccParams) -> np.ndarray:
     """Quadratic-corrected readout at the fractional lag offsets.
 
-    For each angle, fit a parabola through the three lags around
-    round(i * tau_q) and evaluate it at the remaining fractional offset
-    delta in [-0.5, 0.5].
+    For each angle, fit a parabola through the three signed lags around
+    round(i * tau_q) (a negative lag read from the end of the samples) and
+    evaluate it at the remaining fractional offset delta in [-0.5, 0.5].
     """
     _check_lags(y, params)
     return _read_lags(y.samples, *_lag_table(grid.taus, params, True))
@@ -286,11 +282,10 @@ class FftEstimator(_PreparedEstimator):
         gains = normalization_gains(params.n)
         lags, self._weights = _lag_table(self.grid.taus, params, qi)
         i_n = params.interp * params.n
-        signed = (lags + i_n // 2) % i_n - i_n // 2
-        lo = int(signed.min())
-        count = int(signed.max()) - lo + 1
+        lo = int(lags.min())
+        count = int(lags.max()) - lo + 1
         self._chirp = self._op = None
-        self._lags = signed - lo
+        self._lags = lags - lo
         # Per-frame cost of each path, in the operator's count x (N/2+1) multiply-adds:
         # i*N*log2(i*N) for the irfft, 10*M*log2(M) for chirp-z, whose two length-M
         # complex FFTs must also beat one i*N/2-point one (4*M < i*N). Chirp-z is
@@ -309,7 +304,7 @@ class FftEstimator(_PreparedEstimator):
         if self._chirp is not None:
             samples = _chirp_lags(*self._chirp, x12)
         elif self._op is not None:
-            samples = self._op @ _interleaved(x12)
+            samples = self._op @ x12.view(np.float64)
         else:
             samples = _padded_lags(self._gs, self.params.interp, x12)
         return _read_lags(samples, self._lags, self._weights)

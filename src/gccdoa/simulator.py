@@ -344,15 +344,37 @@ def scenario_to_json(scenario: Scenario) -> str:
     return json.dumps(rec)
 
 
+def _real(value) -> bool:
+    # a JSON number loads as exactly int or float; a bool (an int subclass) is none
+    return type(value) in (int, float)
+
+
+def _point(value) -> bool:
+    return isinstance(value, list) and len(value) == 3 and all(map(_real, value))
+
+
+# each manifest field: what it must hold, and the check of its JSON value
+_FIELD_TYPES = {
+    **dict.fromkeys(("dims", "mic_a", "mic_b", "source"), ("3 real numbers", _point)),
+    "beta": ("a real number", _real),
+    "theta0": ("a real number", _real),
+    "snr_db": ("a real number or null", lambda v: v is None or _real(v)),
+    "seed": ("a list of integers", lambda v: isinstance(v, list) and all(type(s) is int for s in v)),
+}
+
+
 def scenario_from_json(line: str) -> Scenario:
     """The Scenario of one manifest line.
 
     A line that is not a JSON object holding every field of scenario_to_json,
-    or whose field has a type the Scenario cannot take, raises FormatError;
-    values that Scenario or RoomSpec reject raise ConfigurationError.
+    or whose field has the wrong JSON type (the error names it), raises
+    FormatError; values that Scenario or RoomSpec reject raise ConfigurationError.
     """
     try:
         rec = json.loads(line)
+        for field, (expected, valid) in _FIELD_TYPES.items():
+            if not valid(rec[field]):
+                raise TypeError(f"{field} must be {expected}, got {rec[field]!r}")
         return Scenario(room=RoomSpec(dims=tuple(rec["dims"]), beta=rec["beta"]),
                         mic_a=tuple(rec["mic_a"]), mic_b=tuple(rec["mic_b"]),
                         source=tuple(rec["source"]), theta0=rec["theta0"],

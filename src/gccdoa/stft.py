@@ -46,8 +46,8 @@ def stft_frames(signal: np.ndarray, n: int, hop: int, window: str = "hann",
     if len(signal) < n:
         raise InputError(f"signal has {len(signal)} samples, need at least n={n}")
     win = window_samples(window, n)
-    # one copy only for a strided signal (a WAV channel); frame l is then a
-    # view of samples [l*hop, l*hop + n) in the signal's own memory
+    # one copy only for a strided signal, which only API callers pass (gccdoa estimate
+    # decodes contiguous rows); frame l is then a view of samples [l*hop, l*hop + n)
     signal = np.ascontiguousarray(signal)
     frames = np.ndarray(((len(signal) - n) // hop + 1, n), np.float64, buffer=signal,
                         strides=(8 * hop, 8))
@@ -77,9 +77,6 @@ def cross_spectrum(x1: np.ndarray, x2: np.ndarray, out: np.ndarray | None = None
     np.multiply(x1, prod, out=prod)
     mag = np.abs(x1) * np.abs(x2)
     voiced = mag >= MAG_FLOOR  # False for NaN as well as for silence
-    if voiced.all():
-        prod /= mag
-    else:
-        np.divide(prod, mag, out=prod, where=voiced)
-        prod[~voiced] = 0
+    np.divide(prod, mag, out=prod, where=voiced)
+    prod[~voiced] = 0
     return prod

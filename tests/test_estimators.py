@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gccdoa.core import AngularGrid, GccParams, normalization_gains, steering_matrix, theta_grid
+from gccdoa.core import (ALLOWED_INTERP, AngularGrid, GccParams, normalization_gains,
+                         round_half_away, steering_matrix, theta_grid)
 from gccdoa.errors import ConfigurationError, DimensionError, InputError
 from gccdoa.evaluation import DEFAULT_BENCH_SEED
 from gccdoa.estimators import (DoaEstimate, FftEstimator, InterpolatedLags,
@@ -260,6 +261,35 @@ class TestSvdCorrelate:
             svd_correlate(factors, np.ones(64, dtype=complex))
 
 
+def _frames_and_their_copies(seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A strided, a complex64 and a real float64 frame, each with its contiguous complex128 copy."""
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((257, 3)) + 1j * rng.standard_normal((257, 3))
+    frames = (block[:, 0], block[:, 1].astype(np.complex64), np.ascontiguousarray(block[:, 2].real))
+    return [(x, np.array(x, dtype=np.complex128)) for x in frames]
+
+
+class TestFramesAreConvertedNotReinterpreted:
+    """Every back-end reads a frame as contiguous complex128: a strided, single-precision
+    or real frame gives the bits of its contiguous complex128 copy."""
+
+    @pytest.mark.parametrize("name", method_names())
+    def test_every_method(self, name):
+        est = build_estimator(name, TABLE)
+        for x, ref in _frames_and_their_copies(31):
+            assert ref.flags.c_contiguous and ref.dtype == np.complex128
+            assert repr(est.estimate(x)) == repr(est.estimate(ref))
+
+    def test_free_functions(self):
+        factors = factorize(W, TABLE.delta)
+        for x, ref in _frames_and_their_copies(32):
+            assert mm_correlate(W, x).tobytes() == mm_correlate(W, ref).tobytes()
+            assert svd_correlate(factors, x).tobytes() == svd_correlate(factors, ref).tobytes()
+            for interp in ALLOWED_INTERP:
+                p = GccParams(interp=interp)
+                assert fft_correlate(x, p).samples.tobytes() == fft_correlate(ref, p).samples.tobytes()
+
+
 class TestPickPeak:
     def test_simple_max(self):
         grid = theta_grid(GccParams(q=3))
@@ -463,6 +493,14 @@ class TestChirpWindow:
     def test_matches_padded_irfft_off_the_defaults(self, base, interp):
         params = replace(base, interp=interp)
         self._check_against_padded_irfft(params, _bench_batch(params, 200))
+
+    @pytest.mark.parametrize("interp", [1, 2, 4])
+    def test_matches_padded_irfft_where_the_nearest_lag_reaches_half_the_transform(self, interp):
+        # round(i * max_lag) = i*N/2: the signed window reads lags -i*N/2 and +i*N/2,
+        # which are one sample of the padded transform
+        params = GccParams(n=8, hop=8, dist=0.084, interp=interp)
+        assert round_half_away(interp * params.max_lag) == interp * params.n // 2
+        self._check_against_padded_irfft(params, _bench_batch(params, 2000))
 
     def test_whole_curve_matches_padded_irfft(self):
         params = GccParams(interp=32)

@@ -613,6 +613,66 @@ class TestMalformedManifest:
             read_manifest(path)
 
 
+class TestManifestFieldTypes:
+    """Each field of a manifest line holds its JSON type or raises FormatError naming
+    the field; a real number is an int or float, never a bool."""
+
+    _POINTS = ["abc", [8.0, 9.0], [1, 2, 3, 4], [1.0, "2", 3.0], [1.0, True, 3.0], None, 6.0]
+    _REALS = ["x", "0.3", True, None, [0.3], {"value": 0.3}]
+
+    def _check(self, field, value):
+        rec = json.loads(scenario_to_json(_tiny_scenario()))
+        rec[field] = value
+        with pytest.raises(FormatError, match=f"not a scenario record \\({field} must be"):
+            scenario_from_json(json.dumps(rec))
+
+    @pytest.mark.parametrize("value", _POINTS)
+    def test_dims_hold_three_real_numbers(self, value):
+        self._check("dims", value)
+
+    @pytest.mark.parametrize("value", _POINTS)
+    def test_mic_a_holds_three_real_numbers(self, value):
+        self._check("mic_a", value)
+
+    @pytest.mark.parametrize("value", _POINTS)
+    def test_mic_b_holds_three_real_numbers(self, value):
+        self._check("mic_b", value)
+
+    @pytest.mark.parametrize("value", _POINTS)
+    def test_source_holds_three_real_numbers(self, value):
+        self._check("source", value)
+
+    @pytest.mark.parametrize("value", _REALS)
+    def test_theta0_is_a_real_number(self, value):
+        self._check("theta0", value)
+
+    @pytest.mark.parametrize("value", _REALS)
+    def test_beta_is_a_real_number(self, value):
+        self._check("beta", value)
+
+    @pytest.mark.parametrize("value", [v for v in _REALS if v is not None])
+    def test_snr_db_is_a_real_number_or_null(self, value):
+        self._check("snr_db", value)
+
+    @pytest.mark.parametrize("value", ["12", 12, [1, "2"], [1, 2.0], [True], None])
+    def test_seed_is_a_list_of_integers(self, value):
+        self._check("seed", value)
+
+    def test_integer_fields_still_load(self):
+        rec = json.loads(scenario_to_json(_tiny_scenario()))
+        rec.update(dims=[6, 5, 3], theta0=0, beta=0, snr_db=20, seed=[])
+        sc = scenario_from_json(json.dumps(rec))
+        assert sc.room.dims == (6, 5, 3) and sc.seed == () and sc.snr_db == 20
+
+    def test_read_manifest_names_the_line_and_the_field(self, tmp_path):
+        path = tmp_path / "scenarios.jsonl"
+        rec = json.loads(scenario_to_json(_tiny_scenario()))
+        rec["seed"] = "12"
+        path.write_text(f"{scenario_to_json(_tiny_scenario())}\n{json.dumps(rec)}\n")
+        with pytest.raises(FormatError, match=r"scenarios\.jsonl, line 2: .*seed must be a list"):
+            read_manifest(path)
+
+
 class TestNonFiniteInputsRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_room_dimensions(self, bad):

@@ -1,0 +1,76 @@
+"""Print one ``sha256  name`` line per output of a fixed set of gccdoa runs, so
+that two checkouts compare with one ``diff``.
+
+    python3 tools/output_digest.py [CHECKOUT] > digest.txt
+
+CHECKOUT (default: the checkout holding this script) is a repository root whose
+``src/`` is run. Outputs go to a temporary directory, never into a checkout:
+
+- ``gccdoa factorize`` at the defaults, ``--q 180`` and ``--n 1024`` (file, stdout)
+- ``gccdoa simulate --configs 2 --seed 5 --beta 0.6 --snr 20 --write-wavs``
+  (both WAVs, the manifest, stdout)
+- ``gccdoa estimate`` with all 14 methods (NDJSON, stdout) on the first
+  simulated WAV with stretches of digital silence cut into it; ``svd`` reads the
+  default factor file
+- the default ``gccdoa evaluate`` CSV and stdout
+
+Nothing is timed. Run it on two checkouts and ``diff`` the two listings.
+"""
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+import wave
+from pathlib import Path
+
+ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
+METHODS = ["mm", *(f"fft{i:02d}{qi}" for qi in ("", "-qi") for i in (1, 2, 4, 8, 16, 32)), "svd"]
+# (first, stop) seconds of the source WAV set to digital silence in both channels
+SILENCES = ((0.0, 0.1), (0.4, 0.7), (1.2, 1.3))
+
+if len(sys.argv) > 2 or not (ROOT / "src" / "gccdoa").is_dir():
+    sys.exit(__doc__)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def with_silences(source: Path, destination: Path) -> None:
+    """A copy of a 16-bit stereo WAV with the SILENCES stretches zeroed."""
+    with wave.open(str(source), "rb") as r:
+        params, pcm = r.getparams(), bytearray(r.readframes(r.getnframes()))
+    size = params.nchannels * params.sampwidth
+    for first, stop in SILENCES:
+        a, b = (min(round(t * params.framerate), params.nframes) * size for t in (first, stop))
+        pcm[a:b] = bytes(b - a)
+    with wave.open(str(destination), "wb") as w:
+        w.setparams(params)
+        w.writeframes(bytes(pcm))
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    work = Path(tmp)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    lines = []
+
+    def gccdoa(label: str, *args: str) -> None:
+        run = subprocess.run([sys.executable, "-m", "gccdoa.cli", *args], cwd=work, env=env,
+                             capture_output=True, check=True)
+        lines.append(f"{sha256(run.stdout)}  stdout:{label}")
+
+    gccdoa("factorize", "factorize", "--out", "factors.gsvd")
+    gccdoa("factorize-q180", "factorize", "--q", "180", "--out", "factors_q180.gsvd")
+    gccdoa("factorize-n1024", "factorize", "--n", "1024", "--out", "factors_n1024.gsvd")
+    gccdoa("simulate", "simulate", "--configs", "2", "--seed", "5", "--beta", "0.6", "--snr", "20",
+           "--write-wavs", "--out-dir", "sim")
+    with_silences(work / "sim" / "scenario_0000.wav", work / "gaps.wav")
+    for method in METHODS:
+        extra = ["--factors", "factors.gsvd"] if method == "svd" else []
+        gccdoa(f"estimate-{method}", "estimate", "gaps.wav", "--method", method, *extra,
+               "--out", f"estimates_{method}.ndjson")
+    gccdoa("evaluate", "evaluate", "--out", "accuracy.csv")
+    for path in sorted(p for p in work.rglob("*") if p.is_file()):
+        lines.append(f"{sha256(path.read_bytes())}  {path.relative_to(work)}")
+    print("\n".join(lines))
