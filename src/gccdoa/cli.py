@@ -132,10 +132,10 @@ def cmd_simulate(args) -> int:
         raise ConfigurationError(f"sample rate must be positive and finite, got {args.rate}")
     if not 0 < args.duration < np.inf:
         raise ConfigurationError(f"duration must be positive and finite, got {args.duration}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scenarios = [simulator.random_scenario(args.beta, args.snr, args.dist, (args.seed, i))
                  for i in range(args.configs)]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for i, sc in enumerate(scenarios if args.write_wavs else []):
         signal = simulator.speech_like_source(
             args.duration, args.rate, simulator.stream_rng(sc.seed, simulator.SOURCE_STREAM))

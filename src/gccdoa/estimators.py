@@ -99,14 +99,11 @@ def _padded_gains(gains: np.ndarray, interp: int) -> np.ndarray:
 
 
 def _padded_lags(gs: np.ndarray, interp: int, x12: np.ndarray) -> np.ndarray:
-    """Lag samples: one irfft of length i*N of the g-weighted, zero-padded spectrum."""
+    """Lag samples: one irfft of length i*N of the g-weighted, zero-padded spectrum.
+    irfft itself drops the imaginary part of the DC bin and (at i = 1) of the Nyquist bin."""
     i_n = interp * (2 * (len(gs) - 1))
     buf = np.zeros(i_n // 2 + 1, dtype=np.complex128)
     np.multiply(gs, x12, out=buf[: len(gs)])
-    # the one-sided convention keeps only the real part at the spectrum edges
-    buf[0] = gs[0] * x12[0].real
-    if interp == 1:
-        buf[-1] = gs[-1] * x12[-1].real
     return np.fft.irfft(buf, i_n)
 
 

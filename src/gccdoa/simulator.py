@@ -67,6 +67,7 @@ class Scenario:
         if self.snr_db is not None and not -np.inf < self.snr_db <= np.inf:
             raise ConfigurationError(
                 f"SNR must be finite dB, +inf or None (both: no noise), got {self.snr_db}")
+        seed_path(self.seed)
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,17 @@ class RenderedPair:
     scenario: Scenario
 
 
+def seed_path(seed: Sequence[int]) -> tuple[int, ...]:
+    """The seed path as a tuple of ints; numpy's SeedSequence takes no negative entry."""
+    path = tuple(int(s) for s in seed)
+    if any(s < 0 for s in path):
+        raise ConfigurationError(f"seed path entries must be non-negative integers, got {list(path)}")
+    return path
+
+
 def stream_rng(seed: Sequence[int], stream: int) -> np.random.Generator:
     """Deterministic generator for one named stream of a seed path."""
-    return np.random.default_rng(np.random.SeedSequence([*map(int, seed), stream]))
+    return np.random.default_rng(np.random.SeedSequence([*seed_path(seed), stream]))
 
 
 def sample_room(category: str, rng: np.random.Generator) -> np.ndarray:
@@ -321,7 +330,7 @@ def render(scenario: Scenario, source_signal: np.ndarray, rate: int = 16000,
 def random_scenario(beta: float, snr_db: float | None, d: float,
                     seed: Sequence[int]) -> Scenario:
     """One reproducible scenario draw: category, room, poses, ground truth."""
-    seed = tuple(int(s) for s in seed)
+    seed = seed_path(seed)
     rng = stream_rng(seed, GEOMETRY_STREAM)
     category = CATEGORIES[rng.integers(len(CATEGORIES))]
     room = RoomSpec(dims=tuple(sample_room(category, rng)), beta=beta)

@@ -367,6 +367,14 @@ class TestSimulate:
             f"error: duration must be positive and finite, got {float(duration)}\n")
         assert not d.exists()
 
+    @pytest.mark.parametrize("wavs", [[], ["--write-wavs"]])
+    def test_negative_seed_exits_2(self, tmp_path, wavs, capsys):
+        d = tmp_path / "out"
+        assert main(["simulate", "--seed=-1", "--configs", "2", "--out-dir", str(d), *wavs]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed path entries must be non-negative integers, got [-1, 0]\n")
+        assert not d.exists()
+
 
 class TestEvaluate:
     def test_smoke_writes_csv(self, tmp_path):
@@ -395,6 +403,14 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith("error: SNR must be finite dB, +inf or None")
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "acc.csv"
+        assert main(["evaluate", "--methods", "mm", "--betas", "0", "--snrs", "40", "--configs", "1",
+                     "--seed=-2", "--duration", "0.3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed path entries must be non-negative integers, got [-2, 0, 0]\n")
+        assert not out.exists()
+
 
 class TestBench:
     def test_csv_has_row_per_method(self, tmp_path):
@@ -417,6 +433,14 @@ class TestBench:
         assert main(["bench", "--methods", "mm", "--frames", "5", "--warmup=-7",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: warm-up must be >= 0 frames, got -7\n"
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["bench", "--methods", "mm", "--frames", "5", "--seed=-1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed path entries must be non-negative integers, got [-1]\n")
         assert not out.exists()
 
 

@@ -352,6 +352,19 @@ class TestNonFiniteFrames:
                 with pytest.raises(InputError, match="non-finite"):
                     est.estimate(x)
 
+    @pytest.mark.parametrize("name", method_names())
+    @pytest.mark.parametrize("params", [TABLE, GccParams(dist=0.3)], ids=["defaults", "dist0.3"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_estimate_rejects_a_non_finite_imaginary_edge_part(self, name, params, bad):
+        # at 0.3 m fft01..fft04(-qi) take the padded irfft, which drops Im X12 at the
+        # edges; g * X12 is complex, so a non-finite Im X12 still reaches the transform
+        est = build_estimator(name, params)
+        for k in (0, 256):
+            x = synthetic_spectrum(0.7)
+            x[k] = complex(x[k].real, bad)
+            with np.errstate(invalid="ignore"), pytest.raises(InputError, match="non-finite"):
+                est.estimate(x)
+
 
 class TestBoundedness:
     @pytest.mark.parametrize("name", ["mm", "fft01", "fft08", "fft02-qi", "fft32-qi", "svd"])
@@ -568,6 +581,34 @@ class TestLagOperator:
         if interp == 1:
             nudged[-1] += 5j
         assert np.array_equal(est._curve(nudged), est._curve(x))
+
+
+class TestPaddedTransformEdgeBins:
+    """The padded irfft reads only Re X12 at DC, and at NN = 1 at Nyquist (for NN > 1
+    Nyquist is an interior bin of the transform): the imaginary parts there change no bit."""
+
+    @staticmethod
+    def _edges(x: np.ndarray, interp: int, imag: float) -> np.ndarray:
+        y = x.copy()
+        for k in ([0, -1] if interp == 1 else [0]):
+            y[k] = complex(x[k].real, imag)
+        return y
+
+    @pytest.mark.parametrize("interp", [1, 4])
+    @pytest.mark.parametrize("qi", [False, True])
+    def test_prepared_transform_branch(self, interp, qi):
+        est = FftEstimator(GccParams(dist=1.0, interp=interp), qi=qi)
+        assert est._op is None and est._chirp is None
+        for x in unit_modulus_batch(5, seed=49):
+            assert np.array_equal(est._curve(self._edges(x, interp, 5.0)),
+                                  est._curve(self._edges(x, interp, 0.0)))
+
+    @pytest.mark.parametrize("interp", [1, 2, 32])
+    def test_fft_correlate(self, interp):
+        p = GccParams(interp=interp)
+        for x in unit_modulus_batch(5, seed=50):
+            assert np.array_equal(fft_correlate(self._edges(x, interp, 5.0), p).samples,
+                                  fft_correlate(self._edges(x, interp, 0.0), p).samples)
 
 
 def _full_table_operator(n: int, interp: int, lo: int, count: int) -> np.ndarray:

@@ -673,6 +673,32 @@ class TestManifestFieldTypes:
             read_manifest(path)
 
 
+class TestNegativeSeedPath:
+    """numpy's SeedSequence takes no negative entry: a seed path holding one raises
+    ConfigurationError where the path is given, not numpy's ValueError at render."""
+
+    @pytest.mark.parametrize("seed", [(-1, 2), (3, -1), (-5,)])
+    def test_scenario_rejects_it(self, seed):
+        with pytest.raises(ConfigurationError, match="seed path entries must be non-negative"):
+            _tiny_scenario(seed=seed)
+        assert _tiny_scenario(seed=(0, 0)).seed == (0, 0)
+
+    def test_generator_and_draw_reject_it(self):
+        with pytest.raises(ConfigurationError, match="seed path entries must be non-negative"):
+            stream_rng((4, -1), 0)
+        with pytest.raises(ConfigurationError, match="seed path entries must be non-negative"):
+            random_scenario(0.0, None, 0.05, (-1, 0))
+
+    def test_manifest_line_fails_at_load_naming_its_line(self, tmp_path):
+        path = tmp_path / "scenarios.jsonl"
+        rec = json.loads(scenario_to_json(_tiny_scenario()))
+        rec["seed"] = [-1, 2]
+        path.write_text(f"{scenario_to_json(_tiny_scenario())}\n{json.dumps(rec)}\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"scenarios\.jsonl, line 2: seed path entries must be non-negative"):
+            read_manifest(path)
+
+
 class TestNonFiniteInputsRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_room_dimensions(self, bad):

@@ -6,12 +6,17 @@ that two checkouts compare with one ``diff``.
 CHECKOUT (default: the checkout holding this script) is a repository root whose
 ``src/`` is run. Outputs go to a temporary directory, never into a checkout:
 
-- ``gccdoa factorize`` at the defaults, ``--q 180`` and ``--n 1024`` (file, stdout)
+- ``gccdoa factorize`` at the defaults, ``--q 180``, ``--n 1024`` and ``--dist 0.3``
+  (file, stdout)
 - ``gccdoa simulate --configs 2 --seed 5 --beta 0.6 --snr 20 --write-wavs``
   (both WAVs, the manifest, stdout)
 - ``gccdoa estimate`` with all 14 methods (NDJSON, stdout) on the first
   simulated WAV with stretches of digital silence cut into it; ``svd`` reads the
   default factor file
+- the same 14 ``gccdoa estimate`` runs at ``--dist 0.3``, where fft01..fft04(-qi)
+  read their lags through the padded irfft and fft08..fft32(-qi) through chirp-z
+  (at the defaults every fftNN takes the lag operator); ``svd`` reads the
+  ``--dist 0.3`` factor file
 - the default ``gccdoa evaluate`` CSV and stdout
 
 Nothing is timed. Run it on two checkouts and ``diff`` the two listings.
@@ -63,13 +68,15 @@ with tempfile.TemporaryDirectory() as tmp:
     gccdoa("factorize", "factorize", "--out", "factors.gsvd")
     gccdoa("factorize-q180", "factorize", "--q", "180", "--out", "factors_q180.gsvd")
     gccdoa("factorize-n1024", "factorize", "--n", "1024", "--out", "factors_n1024.gsvd")
+    gccdoa("factorize-dist0.3", "factorize", "--dist", "0.3", "--out", "factors_dist0.3.gsvd")
     gccdoa("simulate", "simulate", "--configs", "2", "--seed", "5", "--beta", "0.6", "--snr", "20",
            "--write-wavs", "--out-dir", "sim")
     with_silences(work / "sim" / "scenario_0000.wav", work / "gaps.wav")
-    for method in METHODS:
-        extra = ["--factors", "factors.gsvd"] if method == "svd" else []
-        gccdoa(f"estimate-{method}", "estimate", "gaps.wav", "--method", method, *extra,
-               "--out", f"estimates_{method}.ndjson")
+    for tag, dist in (("", ()), ("_dist0.3", ("--dist", "0.3"))):
+        for method in METHODS:
+            extra = ["--factors", f"factors{tag}.gsvd"] if method == "svd" else []
+            gccdoa(f"estimate-{method}{tag}", "estimate", "gaps.wav", "--method", method, *dist,
+                   *extra, "--out", f"estimates_{method}{tag}.ndjson")
     gccdoa("evaluate", "evaluate", "--out", "accuracy.csv")
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         lines.append(f"{sha256(path.read_bytes())}  {path.relative_to(work)}")
