@@ -111,9 +111,6 @@ def _factor_part(w_part: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarr
         raise NumericalError(f"SVD failed on a {w_part.shape} steering part: {exc}") from exc
     fro_sq = float(np.sum(w_part * w_part))
     k = select_rank(s, fro_sq, delta)
-    cum = np.cumsum(s * s)
-    if k > 1 and cum[k - 2] >= (1.0 - delta) * fro_sq:
-        raise NumericalError(f"rank {k} is not minimal for delta={delta}")
     top = u[:h, :k] / np.sqrt(2.0)
     u_k = np.concatenate((top, u[h:, :k], sign * top[::-1]))
     t_k = np.ascontiguousarray(s[:k, None] * vt[:k])

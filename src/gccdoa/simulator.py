@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,7 +68,7 @@ class Scenario:
         if self.snr_db is not None and not -np.inf < self.snr_db <= np.inf:
             raise ConfigurationError(
                 f"SNR must be finite dB, +inf or None (both: no noise), got {self.snr_db}")
-        seed_path(self.seed)
+        object.__setattr__(self, "seed", seed_path(self.seed))
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,12 @@ class RenderedPair:
 
 
 def seed_path(seed: Sequence[int]) -> tuple[int, ...]:
-    """The seed path as a tuple of ints; numpy's SeedSequence takes no negative entry."""
-    path = tuple(int(s) for s in seed)
+    """The seed path as a tuple of ints (operator.index: a float or a string, which no
+    manifest line can hold, raises); numpy's SeedSequence takes no negative entry."""
+    try:
+        path = tuple(map(operator.index, seed))
+    except TypeError:
+        raise ConfigurationError(f"seed path entries must be integers, got {seed!r}") from None
     if any(s < 0 for s in path):
         raise ConfigurationError(f"seed path entries must be non-negative integers, got {list(path)}")
     return path
@@ -119,7 +124,7 @@ def place_pair_and_source(room: RoomSpec, d: float, rng: np.random.Generator):
     dims = np.asarray(room.dims)
     center_lo = WALL_CLEARANCE + 0.5 * d
     center_hi = dims - center_lo
-    if np.any(center_hi <= center_lo) or np.any(dims <= 2 * WALL_CLEARANCE):
+    if np.any(center_hi <= center_lo):
         raise ConfigurationError(
             f"room {room.dims} too small for {WALL_CLEARANCE} m clearance and spacing {d}")
     center = rng.uniform(np.full(3, center_lo), center_hi)
@@ -230,8 +235,6 @@ def image_rir(room: RoomSpec, source, mic, rate: int, length: int = RIR_LENGTH,
         dist = np.maximum(np.sqrt(_lattice_sum(sq)), 1e-6)
         delay = dist * rate / c
         keep = delay < length + KERNEL_HALF
-        if not np.any(keep):
-            continue
         dist, delay = dist[keep], delay[keep]
         refl = _lattice_sum([np.abs(r + q) + np.abs(r) for q, r in zip(pv, grids)])[keep]
         amp = beta**refl / (4.0 * np.pi * dist)
@@ -330,7 +333,7 @@ def render(scenario: Scenario, source_signal: np.ndarray, rate: int = 16000,
 def random_scenario(beta: float, snr_db: float | None, d: float,
                     seed: Sequence[int]) -> Scenario:
     """One reproducible scenario draw: category, room, poses, ground truth."""
-    seed = seed_path(seed)
+    seed = seed_path(seed)  # read once: an iterator would be spent by stream_rng
     rng = stream_rng(seed, GEOMETRY_STREAM)
     category = CATEGORIES[rng.integers(len(CATEGORIES))]
     room = RoomSpec(dims=tuple(sample_room(category, rng)), beta=beta)

@@ -51,6 +51,9 @@ def stft_frames(signal: np.ndarray, n: int, hop: int, window: str = "hann",
     signal = np.ascontiguousarray(signal)
     frames = np.ndarray(((len(signal) - n) // hop + 1, n), np.float64, buffer=signal,
                         strides=(8 * hop, 8))
+    if out is None:
+        # handing rfft its output skips its own output set-up; the gufunc is the same
+        out = np.empty((len(frames), n // 2 + 1), np.complex128)
     return np.fft.rfft(frames * win, axis=1, out=out)
 
 

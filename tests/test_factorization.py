@@ -58,6 +58,19 @@ class TestSelectRank:
         assert ks == sorted(ks)
         assert all(1 <= k <= 40 for k in ks)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(s=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40),
+           extra=st.floats(0.0, 1e6), delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_property_smallest_rank(self, s, extra, delta):
+        """The smallest k whose leading energy reaches (1 - delta) * fro, or all of s."""
+        s = np.array(s)
+        cum = np.cumsum(s * s)
+        fro = float(cum[-1]) + extra
+        k = select_rank(s, fro, delta)
+        assert 1 <= k <= s.size
+        assert k == 1 or cum[k - 2] < (1.0 - delta) * fro
+        assert k == s.size or cum[k - 1] >= (1.0 - delta) * fro
+
     def test_empty_spectrum_rejected(self):
         with pytest.raises(DimensionError):
             select_rank(np.array([]), 1.0, 0.5)

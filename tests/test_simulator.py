@@ -88,6 +88,13 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             place_pair_and_source(room, 0.05, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("side", [2 * WALL_CLEARANCE + 0.01, 2 * WALL_CLEARANCE + 0.05])
+    def test_room_without_room_for_the_pair_rejected(self, side):
+        """A side in (2 WC, 2 WC + d] leaves clearance for a point but not for the pair."""
+        room = RoomSpec(dims=(6.0, side, 3.0), beta=0.0)
+        with pytest.raises(ConfigurationError, match="too small"):
+            place_pair_and_source(room, 0.05, np.random.default_rng(0))
+
     def test_bad_beta_rejected(self):
         with pytest.raises(ConfigurationError):
             RoomSpec(dims=(5.0, 5.0, 3.0), beta=1.0)
@@ -697,6 +704,28 @@ class TestNegativeSeedPath:
         with pytest.raises(ConfigurationError,
                            match=r"scenarios\.jsonl, line 2: seed path entries must be non-negative"):
             read_manifest(path)
+
+
+class TestSeedPathHoldsIntegers:
+    """A seed path is a tuple of ints, so a scenario's manifest line reads back
+    as the same scenario and the scenario stays hashable."""
+
+    @pytest.mark.parametrize("seed", [(1.5,), (3, 2.0), (np.float64(4.0),), ("12",), "12"])
+    def test_float_or_string_entry_rejected(self, seed):
+        for make in (lambda: _tiny_scenario(seed=seed), lambda: stream_rng(seed, 0),
+                     lambda: random_scenario(0.0, None, 0.05, seed)):
+            with pytest.raises(ConfigurationError, match="seed path entries must be integers"):
+                make()
+
+    @pytest.mark.parametrize("seed", [(np.int64(5), 2), [5, 2], (np.uint8(5), np.int32(2))])
+    def test_integer_entries_stored_as_a_tuple_of_ints(self, seed):
+        for sc in (_tiny_scenario(seed=seed), random_scenario(0.3, 20.0, 0.05, seed)):
+            assert sc.seed == (5, 2) and all(type(s) is int for s in sc.seed)
+            back = scenario_from_json(scenario_to_json(sc))
+            assert back == sc and hash(back) == hash(sc)
+
+    def test_draw_reads_a_one_shot_path_once(self):
+        assert random_scenario(0.3, 20.0, 0.05, iter((5, 2))) == random_scenario(0.3, 20.0, 0.05, (5, 2))
 
 
 class TestNonFiniteInputsRejected:

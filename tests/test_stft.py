@@ -143,6 +143,14 @@ class TestStftFrames:
             assert stft_frames(sig, n, hop, window, out=out) is out
             assert np.array_equal(out, stft_frames(sig, n, hop, window)), (length, n, hop)
 
+    def test_calls_without_out_return_their_own_arrays(self):
+        sig = np.random.default_rng(17).uniform(-1.0, 1.0, 1000)
+        a, b = stft_frames(sig, 256, 128), stft_frames(sig, 256, 128)
+        for got in (a, b):
+            assert got.dtype == np.complex128 and got.shape == (6, 129)
+            assert got.flags.writeable and got.flags.c_contiguous
+        assert not np.may_share_memory(a, b)
+
 
 class TestCrossSpectrum:
     def test_self_correlation_is_unit_real(self):

@@ -17,6 +17,10 @@ CHECKOUT (default: the checkout holding this script) is a repository root whose
   read their lags through the padded irfft and fft08..fft32(-qi) through chirp-z
   (at the defaults every fftNN takes the lag operator); ``svd`` reads the
   ``--dist 0.3`` factor file
+- the live hop that a streaming caller runs, for all 14 methods: every n-sample
+  window of each channel of that WAV, one hop apart, framed with ``stft_frames``,
+  then ``cross_spectrum`` and ``estimate`` (one ``q_max theta_est energy`` repr
+  line per hop in ``live/METHOD.txt``); ``svd`` reads the default factor file
 - the default ``gccdoa evaluate`` CSV and stdout
 
 Nothing is timed. Run it on two checkouts and ``diff`` the two listings.
@@ -33,6 +37,28 @@ ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().paren
 METHODS = ["mm", *(f"fft{i:02d}{qi}" for qi in ("", "-qi") for i in (1, 2, 4, 8, 16, 32)), "svd"]
 # (first, stop) seconds of the source WAV set to digital silence in both channels
 SILENCES = ((0.0, 0.1), (0.4, 0.7), (1.2, 1.3))
+
+# run in the checkout's package from the work directory; argv holds the methods
+LIVE_HOP = """
+import sys
+from pathlib import Path
+from gccdoa import audio, estimators, factorization
+from gccdoa.core import GccParams
+from gccdoa.stft import cross_spectrum, stft_frames
+
+params = GccParams()
+n, hop = params.n, params.hop
+ch1, ch2 = audio.read_stereo_wav("gaps.wav", params.rate)
+factors = factorization.load_factors("factors.gsvd")
+Path("live").mkdir()
+for method in sys.argv[1:]:
+    est = estimators.build_estimator(method, params, factors)
+    with open(f"live/{method}.txt", "w") as fh:
+        for s in range(0, ch1.size - n + 1, hop):
+            e = est.estimate(cross_spectrum(stft_frames(ch1[s:s + n], n, hop),
+                                            stft_frames(ch2[s:s + n], n, hop))[0])
+            fh.write(f"{e.q_max!r} {e.theta_est!r} {e.energy!r}\\n")
+"""
 
 if len(sys.argv) > 2 or not (ROOT / "src" / "gccdoa").is_dir():
     sys.exit(__doc__)
@@ -77,6 +103,7 @@ with tempfile.TemporaryDirectory() as tmp:
             extra = ["--factors", f"factors{tag}.gsvd"] if method == "svd" else []
             gccdoa(f"estimate-{method}{tag}", "estimate", "gaps.wav", "--method", method, *dist,
                    *extra, "--out", f"estimates_{method}{tag}.ndjson")
+    subprocess.run([sys.executable, "-c", LIVE_HOP, *METHODS], cwd=work, env=env, check=True)
     gccdoa("evaluate", "evaluate", "--out", "accuracy.csv")
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         lines.append(f"{sha256(path.read_bytes())}  {path.relative_to(work)}")
