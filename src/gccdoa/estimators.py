@@ -47,7 +47,12 @@ from .factorization import (RECON_SLACK, LowRankFactors, factorize,
 
 @dataclass(frozen=True)
 class DoaEstimate:
-    """Peak of a correlation curve: grid index, angle (radians), and energy."""
+    """Peak of a correlation curve: grid index, angle (radians), and energy.
+
+    For plain fftNN (no -qi) the angle is that of the peak lag itself,
+    arcsin(lag / (i * max_lag)), so it need not be ``grid.thetas[q_max]``: a
+    run of grid angles reads the same lag, and ``q_max`` is the first of them.
+    """
 
     q_max: int
     theta_est: float
@@ -278,6 +283,8 @@ class FftEstimator(_PreparedEstimator):
         self.qi = qi
         gains = normalization_gains(params.n)
         lags, self._weights = _lag_table(self.grid.taus, params, qi)
+        if not qi:  # the angle of the peak lag, theta = arcsin(lag / (i * max_lag)), not a grid angle
+            self._thetas = np.arcsin(np.clip(lags / (params.interp * params.max_lag), -1.0, 1.0))
         i_n = params.interp * params.n
         lo = int(lags.min())
         count = int(lags.max()) - lo + 1

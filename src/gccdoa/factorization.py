@@ -26,7 +26,7 @@ import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -47,11 +47,11 @@ _BLAS_SCOPE = threading.Lock()
 class LowRankFactors:
     """Truncated factors of the split steering matrix.
 
-    ``operator`` is derived from them once: the stacked real pair (U, T_il) of
-    the low-rank curve U_R (T_R Re X12) - U_I (T_I Im X12). U = [U_R, -U_I] is
-    Q x (K_R+K_I). T_il is (K_R+K_I) x 2(N/2+1) and acts on the interleaved
-    (re, im) float64 view of X12: its first K_R rows hold T_R on the even
-    columns, its last K_I rows hold T_I on the odd columns.
+    ``operator`` is derived from them on first read: the stacked real pair
+    (U, T_il) of the low-rank curve U_R (T_R Re X12) - U_I (T_I Im X12).
+    U = [U_R, -U_I] is Q x (K_R+K_I). T_il is (K_R+K_I) x 2(N/2+1) and acts on
+    the interleaved (re, im) float64 view of X12: its first K_R rows hold T_R on
+    the even columns, its last K_I rows hold T_I on the odd columns.
     """
 
     u_r: np.ndarray  # Q x K_R
@@ -61,17 +61,16 @@ class LowRankFactors:
     k_r: int
     k_i: int
     delta: float
-    operator: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     # (||U_a T_a - W_a||_F^2, ||W_a||_F^2) for a in {R, I} from factorize's bound check, else None
     sums: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    @cached_property
+    def operator(self) -> tuple[np.ndarray, np.ndarray]:
         k_r, bins = self.t_r.shape
         t_il = np.zeros((k_r + self.t_i.shape[0], 2 * bins))
         t_il[:k_r, 0::2] = self.t_r
         t_il[k_r:, 1::2] = self.t_i
-        u = np.concatenate((self.u_r, -self.u_i), axis=1)
-        object.__setattr__(self, "operator", (u, t_il))
+        return np.concatenate((self.u_r, -self.u_i), axis=1), t_il
 
     def measured_ratios(self) -> tuple[float, float]:
         """reconstruction_ratios against factorize's W, from the sums it checked: the same bits."""

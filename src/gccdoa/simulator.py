@@ -315,7 +315,7 @@ def render(scenario: Scenario, source_signal: np.ndarray, rate: int = 16000,
     source_signal = np.asarray(source_signal, dtype=np.float64)
     if not np.isfinite(source_signal).all():
         raise InputError("source signal holds a non-finite sample (NaN or inf)")
-    if source_signal.size == 0 or not np.any(source_signal):
+    if not np.any(source_signal):
         raise ConfigurationError("source signal is silent")
     channels = []
     rng = stream_rng(scenario.seed, NOISE_STREAM)

@@ -2,6 +2,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -726,3 +727,95 @@ class TestMethodTable:
             parse_method("fft03")
         assert str(info.value) == ("unknown method 'fft03'; expected one of "
                                    + ", ".join(method_names()))
+
+
+_SPACINGS = {"defaults": TABLE, "dist0.3": GccParams(dist=0.3)}
+
+
+class TestMirroredPureDelay:
+    """A pure delay at +theta and at -theta gives mirrored angles, and broadside
+    reads 0. Plain fftNN reports the angle of its peak lag, not the first grid
+    angle of the run of angles that read that lag. At dist=0.3 the fft lags
+    come from the padded irfft and chirp-z instead of the lag operator."""
+
+    @pytest.mark.parametrize("spacing", list(_SPACINGS))
+    @pytest.mark.parametrize("name", method_names())
+    def test_mirrored_about_broadside(self, name, spacing):
+        params = _SPACINGS[spacing]
+        est = build_estimator(name, params)
+
+        def read(theta_deg: float) -> float:
+            tau = params.max_lag * math.sin(math.radians(theta_deg))
+            return math.degrees(est.estimate(synthetic_spectrum(tau, params.n)).theta_est)
+
+        assert read(0.0) == 0.0
+        for theta in (20.0, 45.0):
+            plus, minus = read(theta), read(-theta)
+            assert plus > 0.0 and plus == -minus, (theta, plus, minus)
+
+    @pytest.mark.parametrize("interp", ALLOWED_INTERP)
+    def test_plain_fft_reads_the_angle_of_its_peak_lag(self, interp):
+        e = FftEstimator(replace(TABLE, interp=interp)).estimate(synthetic_spectrum(GRID.taus[120]))
+        lag = round_half_away(interp * GRID.taus[e.q_max])
+        assert e.theta_est == np.arcsin(lag / (interp * TABLE.max_lag))
+
+
+@lru_cache(maxsize=2)
+def _curve_operators(spacing: str) -> dict:
+    """name -> (estimator, A_m, r_m) at one spacing. A_m is the real Q x 2(N/2+1) matrix of
+    the method's curve on the spectrum read as interleaved (re, im) pairs, built
+    column by column from _curve on the unit vectors 1 and j of every bin. For a
+    PHAT frame (|X12[k]| <= 1) the largest possible |curve_m[q] - curve_mm[q]| is
+    r_m[q] = sum_k |E[q, 2k] - j E[q, 2k+1]| with E = A_m - A_mm, reached by
+    aligning each bin's phase."""
+    params = _SPACINGS[spacing]
+    bins = params.half_bins
+    ops = {}
+    for name in method_names():
+        est = build_estimator(name, params)
+        a = np.empty((params.q, 2 * bins))
+        for k in range(bins):
+            for part, unit in enumerate((1.0, 1j)):
+                x = np.zeros(bins, dtype=np.complex128)
+                x[k] = unit
+                a[:, 2 * k + part] = est._curve(x)
+        ops[name] = (est, a)
+    a_mm = ops["mm"][1]
+    return {name: (est, a, np.abs((a - a_mm)[:, 0::2] - 1j * (a - a_mm)[:, 1::2]).sum(axis=1))
+            for name, (est, a) in ops.items()}
+
+
+class TestExactGapToMm:
+    """Every back-end's curve is one fixed real-linear map A_m of the interleaved
+    PHAT spectrum, whichever kernel path computes it, so r_m bounds its gap to
+    mm's curve exactly, at every angle and on every PHAT frame."""
+
+    @pytest.mark.parametrize("spacing", list(_SPACINGS))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), silent=st.floats(0.0, 1.0))
+    @example(seed=0, silent=1.0)
+    def test_linear_map_and_gap_bound(self, spacing, seed, silent):
+        ops = _curve_operators(spacing)
+        bins = _SPACINGS[spacing].half_bins
+        rng = np.random.default_rng(seed)
+        x = np.exp(2j * np.pi * rng.uniform(size=bins))
+        x[rng.uniform(size=bins) < silent] = 0.0
+        curve_mm = ops["mm"][0]._curve(x)
+        for name, (est, a, r) in ops.items():
+            curve = est._curve(x)
+            assert np.max(np.abs(a @ x.view(np.float64) - curve)) <= 1e-12 * np.max(np.abs(curve)), name
+            assert np.all(np.abs(curve - curve_mm) <= r + 1e-12), name
+
+    @pytest.mark.parametrize("spacing", list(_SPACINGS))
+    def test_bound_is_reached_by_aligned_phases(self, spacing):
+        ops = _curve_operators(spacing)
+        a_mm = ops["mm"][1]
+        assert not ops["mm"][2].any()
+        for name, (est, a, r) in ops.items():
+            q = int(np.argmax(r))
+            c = (a - a_mm)[q, 0::2] - 1j * (a - a_mm)[q, 1::2]
+            # Re(c_k x_k) = |c_k| for x_k = conj(c_k) / |c_k|
+            x = np.ones_like(c)
+            np.divide(np.conj(c), np.abs(c), out=x, where=c != 0)
+            gap = est._curve(x)[q] - ops["mm"][0]._curve(x)[q]
+            assert gap == pytest.approx(r[q], rel=1e-12, abs=1e-12), name

@@ -485,6 +485,10 @@ class TestRender:
         with pytest.raises(ConfigurationError):
             render(_tiny_scenario(), np.zeros(1000), RATE)
 
+    def test_empty_source_rejected_as_silent(self):
+        with pytest.raises(ConfigurationError, match="source signal is silent"):
+            render(_tiny_scenario(), np.zeros(0), RATE)
+
     def test_broadside_pair_correlates_at_zero_lag(self):
         sc = _tiny_scenario()  # source on the bisector plane, beta = 0
         sig = speech_like_source(0.5, RATE, np.random.default_rng(11))
