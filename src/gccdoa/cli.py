@@ -72,7 +72,7 @@ def cmd_factorize(args) -> int:
 _BLOCK = 128
 
 
-def _ndjson_block(est, wav, first, count, n, hop, window, pcm, spectra) -> tuple[str, int]:
+def _ndjson_block(est, wav, first, count, n, hop, pcm, spectra) -> tuple[str, int]:
     """NDJSON lines of frames [first, first + count) of wav, and how many of them are silent.
 
     Only the block's samples are read and decoded, into pcm (2 x samples);
@@ -83,8 +83,8 @@ def _ndjson_block(est, wav, first, count, n, hop, window, pcm, spectra) -> tuple
     """
     ch1, ch2 = wav.read(first * hop, (first + count - 1) * hop + n, out=pcm)
     x1, x2, x12 = spectra[:, :count]
-    frames = cross_spectrum(stft_frames(ch1, n, hop, window, out=x1),
-                            stft_frames(ch2, n, hop, window, out=x2), out=x12)
+    frames = cross_spectrum(stft_frames(ch1, n, hop, out=x1),
+                            stft_frames(ch2, n, hop, out=x2), out=x12)
     estimates = [est.estimate(frame) for frame in frames]
     # an all-zero PHAT frame (digital silence) has no direction: theta_deg is null
     silent = (~frames.any(axis=1)).tolist()
@@ -110,8 +110,7 @@ def cmd_estimate(args) -> int:
         size = min(_BLOCK, total)
         pcm = np.empty((2, (size - 1) * hop + n))
         spectra = np.empty((3, size, n // 2 + 1), np.complex128)
-        blocks = (_ndjson_block(est, wav, b0, min(_BLOCK, total - b0), n, hop, args.window,
-                                pcm, spectra)
+        blocks = (_ndjson_block(est, wav, b0, min(_BLOCK, total - b0), n, hop, pcm, spectra)
                   for b0 in range(0, total, _BLOCK))
         text, silent = next(blocks)
         with open(args.out, "w") as fh:
@@ -187,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wav", help="2-channel 16-bit PCM WAV at --rate")
     p.add_argument("--method", default="mm", help="one of: " + ", ".join(method_names()))
     p.add_argument("--factors", default=None, help="factor file (required for svd)")
-    p.add_argument("--window", default="hann", choices=("hann", "rect"))
     p.add_argument("--out", default="estimates.ndjson", help="NDJSON destination")
     p.set_defaults(func=cmd_estimate)
 

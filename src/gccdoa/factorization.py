@@ -180,15 +180,22 @@ def reconstruction_ratios(factors: LowRankFactors, w: SteeringMatrix) -> tuple[f
 
 
 def save_factors(factors: LowRankFactors, destination) -> None:
-    """Write factors in the GPHAT-SVD binary format (little-endian, f8)."""
+    """Write factors in the GPHAT-SVD binary format (little-endian, f8). Shapes that
+    disagree with K_R and K_I, which load_factors would reject, raise DimensionError
+    before the file is opened."""
     q = factors.u_r.shape[0]
-    half_bins = factors.t_r.shape[1]
+    half_bins = factors.t_r.shape[-1]
+    mats = (factors.u_r, factors.t_r, factors.u_i, factors.t_i)
+    shapes = [(q, factors.k_r), (factors.k_r, half_bins), (q, factors.k_i), (factors.k_i, half_bins)]
+    if [m.shape for m in mats] != shapes:
+        raise DimensionError(f"factor shapes {[m.shape for m in mats]} do not match "
+                             f"K_R={factors.k_r}, K_I={factors.k_i}: expected {shapes}")
     n = 2 * (half_bins - 1)
     header = MAGIC + struct.pack("<IIIII", VERSION, q, n, factors.k_r, factors.k_i)
     header += struct.pack("<d", factors.delta)
     with open(destination, "wb") as fh:
         fh.write(header)
-        for m in (factors.u_r, factors.t_r, factors.u_i, factors.t_i):
+        for m in mats:
             fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
 
 

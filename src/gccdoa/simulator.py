@@ -75,7 +75,6 @@ class Scenario:
 class RenderedPair:
     ch1: np.ndarray
     ch2: np.ndarray
-    scenario: Scenario
 
 
 def seed_path(seed: Sequence[int]) -> tuple[int, ...]:
@@ -327,7 +326,7 @@ def render(scenario: Scenario, source_signal: np.ndarray, rate: int = 16000,
             power = np.mean(ch * ch)
             sigma = np.sqrt(power / 10.0 ** (scenario.snr_db / 10.0))
             ch += sigma * rng.standard_normal(len(ch))
-    return RenderedPair(ch1=channels[0], ch2=channels[1], scenario=scenario)
+    return RenderedPair(ch1=channels[0], ch2=channels[1])
 
 
 def random_scenario(beta: float, snr_db: float | None, d: float,

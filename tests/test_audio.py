@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gccdoa import audio
-from gccdoa.errors import FormatError, InputError
+from gccdoa.errors import DimensionError, FormatError, InputError
 
 
 def _noise_wav(path, frames):
@@ -125,4 +125,21 @@ def test_writer_rejects_a_non_finite_sample(tmp_path, channel, bad, normalize):
 def test_writer_rejects_empty_channels(tmp_path):
     with pytest.raises(InputError, match="no samples"):
         audio.write_stereo_wav(tmp_path / "a.wav", np.zeros(0), np.zeros(0), 16000)
+    assert not (tmp_path / "a.wav").exists()
+
+
+def test_reader_rejects_8_bit_samples(tmp_path):
+    path = tmp_path / "u8.wav"
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(2)
+        wf.setsampwidth(1)
+        wf.setframerate(16000)
+        wf.writeframes(bytes(200))
+    with pytest.raises(InputError, match=r"expected 16-bit PCM \(width 2\), got width 1"):
+        audio.StereoWavReader(path, 16000)
+
+
+def test_writer_rejects_channels_of_different_lengths(tmp_path):
+    with pytest.raises(DimensionError, match="channel shapes differ"):
+        audio.write_stereo_wav(tmp_path / "a.wav", np.zeros(4), np.zeros(5), 16000)
     assert not (tmp_path / "a.wav").exists()

@@ -567,3 +567,11 @@ class TestBadInputFailsCleanly:
                      "--configs", "1", "--seed", "5", "--duration", "0.3", "--out", str(out)]) == 0
         rows = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
         assert rows == [["mm", "0.000000", "40.000000"], ["mm", "0.000000", "10.000000"]]
+
+
+def test_estimate_takes_no_window_option(capsys):
+    """estimate frames with the periodic Hann window, as evaluate does; there is no choice."""
+    with pytest.raises(SystemExit) as info:
+        main(["estimate", "x.wav", "--window", "hann"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --window" in capsys.readouterr().err

@@ -819,3 +819,11 @@ class TestExactGapToMm:
             np.divide(np.conj(c), np.abs(c), out=x, where=c != 0)
             gap = est._curve(x)[q] - ops["mm"][0]._curve(x)[q]
             assert gap == pytest.approx(r[q], rel=1e-12, abs=1e-12), name
+
+
+@pytest.mark.parametrize("readout", [map_lags, qi_correlate])
+def test_lags_of_the_wrong_length_rejected(readout):
+    """The factor matches params.interp, but 100 samples are not interp * n."""
+    y = InterpolatedLags(samples=np.zeros(100), factor=TABLE.interp)
+    with pytest.raises(DimensionError, match="100 lag samples"):
+        readout(y, GRID, TABLE)

@@ -4,6 +4,7 @@ acceptance suite)."""
 import numpy as np
 import pytest
 
+from gccdoa import evaluation
 from gccdoa.core import GccParams
 from gccdoa.errors import ConfigurationError, DimensionError
 from gccdoa.evaluation import (CELL_HEADER, TIMING_HEADER, CellReport,
@@ -178,3 +179,26 @@ class TestCheckAccuracyReports:
     def test_missing_cell_rejected(self):
         with pytest.raises(ConfigurationError):
             check_accuracy_reports([CellReport("mm", 0.0, 40.0, 1.0, 50)])
+
+
+def test_empty_reports_default_to_the_cells_header(tmp_path):
+    out = tmp_path / "empty.csv"
+    emit_reports([], out)
+    assert out.read_text() == CELL_HEADER + "\n"
+
+
+def test_degenerate_configuration_is_left_out_of_the_count(monkeypatch):
+    """A configuration whose weighted DOA raises is excluded from the RMSE, visible in the count."""
+    calls = []
+
+    def first_degenerate(result):
+        calls.append(result)
+        if len(calls) == 1:
+            raise ConfigurationError("zero energy")
+        return weighted_doa(result)
+    monkeypatch.setattr(evaluation, "weighted_doa", first_degenerate)
+    reports = run_accuracy_sweep(["mm"], ((0.0, 40.0),), n_configs=3, seed=123,
+                                 duration_s=0.3, rir_length=1024)
+    assert len(calls) == 3
+    assert [r.configurations for r in reports] == [2]
+    assert np.isfinite(reports[0].rmse_deg)

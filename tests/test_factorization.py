@@ -2,6 +2,7 @@
 import struct
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,3 +439,38 @@ class TestCorruptFactorFile:
         assert 0.0 < f.delta < 1.0
         for m in (f.u_r, f.t_r, f.u_i, f.t_i):
             assert np.isfinite(m).all()
+
+
+def test_header_with_an_odd_frame_size_rejected(small_file, tmp_path):
+    raw, _ = small_file
+    data = bytearray(raw)
+    struct.pack_into("<I", data, len(MAGIC) + 8, 511)
+    path = tmp_path / "odd.gsvd"
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="invalid frame size n=511"):
+        load_factors(path)
+
+
+def test_failed_reconstruction_check_raises_and_restores_the_thread_count(monkeypatch):
+    """Singular values 1 % too large miss the delta bound; the BLAS count still comes back."""
+    before = BLAS[0]() if BLAS is not None else None
+    svd = np.linalg.svd
+
+    def inflated(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
+        return u, 1.01 * s, vt
+    monkeypatch.setattr(np.linalg, "svd", inflated)
+    with pytest.raises(NumericalError, match="reconstruction error .* exceeds"):
+        factorize(W, 1e-5)
+    if BLAS is not None:
+        assert BLAS[0]() == before
+
+
+@pytest.mark.parametrize("change", [dict(k_r=7), dict(k_i=3), dict(t_i=np.zeros((4, 258)))])
+def test_save_rejects_shapes_that_disagree_with_the_ranks(tmp_path, change):
+    """K_R = 7 over a rank-5 T_R (or K_I = 3, or a T_I one bin wider than T_R) makes a
+    header that load_factors would reject; nothing is written."""
+    path = tmp_path / "bad.gsvd"
+    with pytest.raises(DimensionError, match="do not match"):
+        save_factors(replace(factorize(W, 1e-5), **change), path)
+    assert not path.exists()

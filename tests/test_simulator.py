@@ -785,3 +785,14 @@ class TestNonFiniteInputsRejected:
         clean = render(_tiny_scenario(snr_db=None), sig, RATE, length=512)
         inf = render(_tiny_scenario(snr_db=np.inf), sig, RATE, length=512)
         assert np.array_equal(clean.ch1, inf.ch1) and np.array_equal(clean.ch2, inf.ch2)
+
+
+def test_empty_rir_rejected():
+    with pytest.raises(ConfigurationError, match="RIR length must be positive"):
+        image_rir(RoomSpec(dims=(5.0, 5.0, 3.0), beta=0.3), [1.0, 1.0, 1.0], [3.0, 2.0, 1.5],
+                  RATE, length=0)
+
+
+def test_source_at_the_pair_midpoint_has_no_doa():
+    with pytest.raises(ConfigurationError, match="midpoint"):
+        pair_doa([0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.025, 0.0, 0.0])
