@@ -6,6 +6,7 @@ import wave
 
 import numpy as np
 
+from .core import _check_positive_finite
 from .errors import DimensionError, FormatError, InputError
 
 
@@ -90,8 +91,10 @@ def write_stereo_wav(path, ch1: np.ndarray, ch2: np.ndarray, rate: int,
 
     With normalize=True both channels are scaled by one shared factor to a
     0.99 peak, preserving the interchannel level ratio. Empty channels and
-    non-finite samples raise InputError before the file is opened.
+    non-finite samples raise InputError, and a rate that is not positive and
+    finite ConfigurationError, before the file is opened.
     """
+    _check_positive_finite("sample rate", rate)
     ch1 = np.asarray(ch1, dtype=np.float64)
     ch2 = np.asarray(ch2, dtype=np.float64)
     if ch1.shape != ch2.shape or ch1.ndim != 1:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio, evaluation, factorization, simulator
-from .core import GccParams, steering_matrix, theta_grid
+from .core import GccParams, _check_positive_finite, steering_matrix, theta_grid
 from .errors import ConfigurationError, DimensionError, FormatError, InputError, NumericalError
 from .estimators import build_estimator, method_names, parse_method
 from .stft import cross_spectrum, stft_frames
@@ -98,7 +98,9 @@ def cmd_estimate(args) -> int:
     params = _params(args)
     if args.method == "svd" and not args.factors:
         raise InputError("method 'svd' needs --factors FILE (run factorize first)")
-    factors = factorization.load_factors(args.factors) if args.method == "svd" else None
+    if args.factors and args.method != "svd":
+        raise InputError(f"--factors is read by method 'svd' only, not by {args.method!r}")
+    factors = factorization.load_factors(args.factors) if args.factors else None
     est = build_estimator(args.method, params, factors)
     n, hop = params.n, params.hop
     with audio.StereoWavReader(args.wav, params.rate) as wav:
@@ -127,10 +129,8 @@ def cmd_simulate(args) -> int:
     # --write-wavs nothing reads the rate or the duration
     if args.configs < 1:
         raise ConfigurationError(f"need at least one configuration, got {args.configs}")
-    if not 0 < args.rate < np.inf:
-        raise ConfigurationError(f"sample rate must be positive and finite, got {args.rate}")
-    if not 0 < args.duration < np.inf:
-        raise ConfigurationError(f"duration must be positive and finite, got {args.duration}")
+    _check_positive_finite("sample rate", args.rate)
+    _check_positive_finite("duration", args.duration)
     scenarios = [simulator.random_scenario(args.beta, args.snr, args.dist, (args.seed, i))
                  for i in range(args.configs)]
     out_dir = Path(args.out_dir)
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p, ("q", "n", "hop", "dist", "speed", "rate"))
     p.add_argument("wav", help="2-channel 16-bit PCM WAV at --rate")
     p.add_argument("--method", default="mm", help="one of: " + ", ".join(method_names()))
-    p.add_argument("--factors", default=None, help="factor file (required for svd)")
+    p.add_argument("--factors", default=None, help="factor file (svd only, and required for it)")
     p.add_argument("--out", default="estimates.ndjson", help="NDJSON destination")
     p.set_defaults(func=cmd_estimate)
 

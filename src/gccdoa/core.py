@@ -29,6 +29,11 @@ from .errors import ConfigurationError
 ALLOWED_INTERP = (1, 2, 4, 8, 16, 32)
 
 
+def _check_positive_finite(what: str, value) -> None:
+    if not 0 < value < np.inf:  # written so that NaN fails too
+        raise ConfigurationError(f"{what} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GccParams:
     """All scalar configuration for the estimators.
@@ -61,12 +66,9 @@ class GccParams:
             raise ConfigurationError(f"frame size must be even and >= 4, got n={self.n}")
         if not 0 < self.hop <= self.n:
             raise ConfigurationError(f"hop must be in (0, n], got hop={self.hop}")
-        if not 0 < self.dist < np.inf:  # written so that NaN fails too
-            raise ConfigurationError(f"microphone spacing must be positive and finite, got {self.dist}")
-        if not 0 < self.speed < np.inf:
-            raise ConfigurationError(f"speed of sound must be positive and finite, got {self.speed}")
-        if not 0 < self.rate < np.inf:
-            raise ConfigurationError(f"sample rate must be positive and finite, got {self.rate}")
+        _check_positive_finite("microphone spacing", self.dist)
+        _check_positive_finite("speed of sound", self.speed)
+        _check_positive_finite("sample rate", self.rate)
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError(f"delta must be in (0, 1), got {self.delta}")
         if self.interp not in ALLOWED_INTERP:

@@ -102,7 +102,7 @@ def run_accuracy_sweep(methods, cells, n_configs: int, seed: int,
     for ci, (beta, snr_db) in enumerate(cells):
         errors: list[list[float]] = [[] for _ in prepared]
         for cfg in range(n_configs):
-            path = (int(seed), ci, cfg)
+            path = (seed, ci, cfg)
             scenario = random_scenario(beta, snr_db, params.dist, path)
             signal = speech_like_source(duration_s, params.rate, stream_rng(path, SOURCE_STREAM))
             pair = render(scenario, signal, params.rate, rir_length)
@@ -168,21 +168,22 @@ TIMING_HEADER = "method,mean_us_per_frame,median_us_per_frame,frames_timed,param
 def emit_reports(reports, destination, kind: str | None = None) -> None:
     """Write reports as CSV ('.' decimals, fixed 6-digit precision).
 
-    kind selects the schema ("cells" or "timing") when reports is empty;
-    otherwise the report type decides.
+    kind selects the schema ("cells", the default, or "timing") when reports is
+    empty; otherwise the report type decides. Any other kind raises
+    ConfigurationError before the file is opened.
     """
+    if kind not in (None, "cells", "timing"):
+        raise ConfigurationError(f"unknown report kind {kind!r} (expected 'cells' or 'timing')")
     rows = list(reports)
     if rows:
         kind = "timing" if isinstance(rows[0], TimingReport) else "cells"
-    elif kind is None:
-        kind = "cells"
-    lines = [CELL_HEADER if kind == "cells" else TIMING_HEADER]
-    for r in rows:
-        if kind == "cells":
-            lines.append(f"{r.method},{r.beta:.6f},{r.snr_db:.6f},{r.rmse_deg:.6f},{r.configurations}")
-        else:
-            lines.append(f"{r.method},{r.mean_us_per_frame:.6f},{r.median_us_per_frame:.6f},"
-                         f"{r.frames_timed},{r.params}")
+    if kind == "timing":
+        lines = [TIMING_HEADER] + [f"{r.method},{r.mean_us_per_frame:.6f},"
+                                   f"{r.median_us_per_frame:.6f},{r.frames_timed},{r.params}"
+                                   for r in rows]
+    else:
+        lines = [CELL_HEADER] + [f"{r.method},{r.beta:.6f},{r.snr_db:.6f},{r.rmse_deg:.6f},"
+                                 f"{r.configurations}" for r in rows]
     with open(destination, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -194,39 +195,29 @@ def _cell(reports, method: str, beta: float, snr_db: float) -> CellReport:
     raise ConfigurationError(f"no report for {method} at beta={beta}, snr={snr_db}")
 
 
+def _verdict(name: str, rows) -> tuple[str, bool, str]:
+    """One property's verdict: it passes when every (passed, detail) row passes."""
+    passed, details = True, []
+    for ok, detail in rows:
+        passed &= ok
+        details.append(detail)
+    return name, passed, "; ".join(details)
+
+
 def check_accuracy_reports(reports, cells=DEFAULT_CELLS) -> list[tuple[str, bool, str]]:
     """The four desk-scale replication properties over a finished sweep."""
     betas = sorted({beta for beta, _ in cells})
     snrs = sorted({snr for _, snr in cells})
-    checks: list[tuple[str, bool, str]] = []
-
-    details = []
-    ok = True
+    beats, within, noise = [], [], []
     for beta, snr in cells:
-        r_mm, r_f1 = _cell(reports, "mm", beta, snr), _cell(reports, "fft01", beta, snr)
-        ok &= r_mm.rmse_deg <= r_f1.rmse_deg
-        details.append(f"({beta:g},{snr:g}): {r_mm.rmse_deg:.3f}<= {r_f1.rmse_deg:.3f}")
-    checks.append(("mm-beats-fft01", ok, "; ".join(details)))
-
-    details, ok = [], True
-    for beta, snr in cells:
-        r_mm = _cell(reports, "mm", beta, snr)
-        r_qi = _cell(reports, "fft02-qi", beta, snr)
-        rel = abs(r_qi.rmse_deg - r_mm.rmse_deg) / r_mm.rmse_deg
-        ok &= rel <= 0.10
-        details.append(f"({beta:g},{snr:g}): rel={rel:.3f}")
-    checks.append(("fft02-qi-within-10pct-of-mm", ok, "; ".join(details)))
-
-    details, ok = [], True
+        mm, f1, qi = (_cell(reports, m, beta, snr).rmse_deg for m in ("mm", "fft01", "fft02-qi"))
+        rel = abs(qi - mm) / mm
+        beats.append((mm <= f1, f"({beta:g},{snr:g}): {mm:.3f}<= {f1:.3f}"))
+        within.append((rel <= 0.10, f"({beta:g},{snr:g}): rel={rel:.3f}"))
     for beta in betas:
-        lo = _cell(reports, "mm", beta, min(snrs)).rmse_deg
-        hi = _cell(reports, "mm", beta, max(snrs)).rmse_deg
-        ok &= lo >= hi
-        details.append(f"beta={beta:g}: {lo:.3f}>= {hi:.3f}")
-    checks.append(("mm-degrades-with-noise", ok, "; ".join(details)))
-
-    snr_top = max(snrs)
-    lo = _cell(reports, "mm", min(betas), snr_top).rmse_deg
-    hi = _cell(reports, "mm", max(betas), snr_top).rmse_deg
-    checks.append(("mm-degrades-with-reverb", hi >= lo, f"{hi:.3f}>= {lo:.3f} at snr={snr_top:g}"))
-    return checks
+        lo, hi = (_cell(reports, "mm", beta, snr).rmse_deg for snr in (snrs[0], snrs[-1]))
+        noise.append((lo >= hi, f"beta={beta:g}: {lo:.3f}>= {hi:.3f}"))
+    lo, hi = (_cell(reports, "mm", beta, snrs[-1]).rmse_deg for beta in (betas[0], betas[-1]))
+    reverb = [(hi >= lo, f"{hi:.3f}>= {lo:.3f} at snr={snrs[-1]:g}")]
+    return [_verdict("mm-beats-fft01", beats), _verdict("fft02-qi-within-10pct-of-mm", within),
+            _verdict("mm-degrades-with-noise", noise), _verdict("mm-degrades-with-reverb", reverb)]

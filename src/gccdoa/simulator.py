@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import round_half_away
+from .core import _check_positive_finite, round_half_away
 from .errors import ConfigurationError, FormatError, InputError
 
 CATEGORY_BOUNDS = {
@@ -118,8 +118,7 @@ def pair_doa(mic_a, mic_b, source) -> float:
 
 def place_pair_and_source(room: RoomSpec, d: float, rng: np.random.Generator):
     """Random pair center/axis and source inside the clearance-shrunk room."""
-    if not 0 < d < np.inf:
-        raise ConfigurationError(f"microphone spacing must be positive and finite, got {d}")
+    _check_positive_finite("microphone spacing", d)
     dims = np.asarray(room.dims)
     center_lo = WALL_CLEARANCE + 0.5 * d
     center_hi = dims - center_lo
@@ -202,9 +201,8 @@ def image_rir(room: RoomSpec, source, mic, rate: int, length: int = RIR_LENGTH,
     _check_inside("microphone", mic, dims)
     if length <= 0:
         raise ConfigurationError(f"RIR length must be positive, got {length}")
-    if not 0 < rate < np.inf or not 0 < speed < np.inf:
-        raise ConfigurationError(f"sample rate and speed of sound must be positive and finite, "
-                                 f"got rate={rate} speed={speed}")
+    _check_positive_finite("sample rate", rate)
+    _check_positive_finite("speed of sound", speed)
 
     c = float(speed)
     beta = float(room.beta)
@@ -256,10 +254,8 @@ def speech_like_source(duration_s: float, rate: int, rng: np.random.Generator) -
     White noise is tilted to be flat up to 500 Hz and fall 6 dB/octave above,
     then modulated at a syllabic rate with random phase.
     """
-    if not 0 < duration_s < np.inf:
-        raise ConfigurationError(f"duration must be positive and finite, got {duration_s}")
-    if not 0 < rate < np.inf:
-        raise ConfigurationError(f"sample rate must be positive and finite, got {rate}")
+    _check_positive_finite("duration", duration_s)
+    _check_positive_finite("sample rate", rate)
     n = max(int(round(duration_s * rate)), 2)
     x = rng.standard_normal(n)
     freqs = np.fft.rfftfreq(n, 1.0 / rate)

@@ -62,7 +62,8 @@ def cross_spectrum(x1: np.ndarray, x2: np.ndarray, out: np.ndarray | None = None
 
     Accepts single spectra or batches of frames (last axis = bins). Bins whose
     magnitude product falls below MAG_FLOOR are set to exactly zero instead of
-    dividing by (nearly) nothing. out, an array of the inputs' shape and
+    dividing by (nearly) nothing; a NaN or infinite magnitude product raises
+    InputError before out is written. out, an array of the inputs' shape and
     promoted complex dtype that shares no memory with them (InputError
     otherwise), receives the result and is returned.
     """
@@ -71,15 +72,17 @@ def cross_spectrum(x1: np.ndarray, x2: np.ndarray, out: np.ndarray | None = None
     if x1.shape != x2.shape:
         raise DimensionError(f"spectrum shapes differ: {x1.shape} vs {x2.shape}")
     if out is not None and (np.may_share_memory(out, x1) or np.may_share_memory(out, x2)):
-        # conj(x2) goes into out before x1 and |x2| are read
+        # conj(x2) goes into out before x1 is read
         raise InputError("out shares memory with an input spectrum")
+    mag = np.abs(x1) * np.abs(x2)
+    if not mag.max(initial=0.0) < np.inf:  # one reduction; NaN fails too
+        raise InputError("spectrum holds a non-finite bin (NaN or inf)")
     # always x1 * conj(x2), in that operand order: `x1 * np.conj(x2)` lets numpy
     # reuse the conj temporary from 256 KiB on and compute conj(x2) * x1, which
     # FMA code rounds differently, so a frame's value would depend on batch size
     prod = np.conj(x2, out=np.empty(x1.shape, np.result_type(x1, x2)) if out is None else out)
     np.multiply(x1, prod, out=prod)
-    mag = np.abs(x1) * np.abs(x2)
-    voiced = mag >= MAG_FLOOR  # False for NaN as well as for silence
+    voiced = mag >= MAG_FLOOR
     np.divide(prod, mag, out=prod, where=voiced)
     prod[~voiced] = 0
     return prod

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gccdoa import audio
-from gccdoa.errors import DimensionError, FormatError, InputError
+from gccdoa.errors import ConfigurationError, DimensionError, FormatError, InputError
 
 
 def _noise_wav(path, frames):
@@ -143,3 +143,12 @@ def test_writer_rejects_channels_of_different_lengths(tmp_path):
     with pytest.raises(DimensionError, match="channel shapes differ"):
         audio.write_stereo_wav(tmp_path / "a.wav", np.zeros(4), np.zeros(5), 16000)
     assert not (tmp_path / "a.wav").exists()
+
+
+@pytest.mark.parametrize("rate", [0, -5, np.nan, np.inf])
+def test_writer_rejects_a_bad_rate_before_the_file_is_opened(tmp_path, rate):
+    path = tmp_path / "a.wav"
+    with pytest.raises(ConfigurationError) as exc:
+        audio.write_stereo_wav(path, np.zeros(4), np.zeros(4), rate)
+    assert str(exc.value) == f"sample rate must be positive and finite, got {rate}"
+    assert not path.exists()

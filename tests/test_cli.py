@@ -575,3 +575,16 @@ def test_estimate_takes_no_window_option(capsys):
         main(["estimate", "x.wav", "--window", "hann"])
     assert info.value.code == 2
     assert "unrecognized arguments: --window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["mm", "fft02-qi"])
+def test_estimate_refuses_factors_for_a_method_that_reads_none(tmp_path, broadside_wav, method,
+                                                               capsys):
+    """--factors is read by svd alone; with any other method it is refused, not ignored."""
+    out = tmp_path / "est.ndjson"
+    rc = main(["estimate", str(broadside_wav), "--method", method,
+               "--factors", str(tmp_path / "missing.gsvd"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --factors is read by method 'svd' only, not by {method!r}\n")
+    assert not out.exists()

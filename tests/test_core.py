@@ -226,3 +226,13 @@ class TestSteeringCache:
             with pytest.raises(ValueError):
                 a[0] = 0
         assert not steering_matrix(TABLE, theta_grid(TABLE)).entries.flags.writeable
+
+
+@pytest.mark.parametrize("field, what, value", [
+    ("dist", "microphone spacing", 0.0), ("dist", "microphone spacing", np.nan),
+    ("speed", "speed of sound", -343.0), ("speed", "speed of sound", np.inf),
+    ("rate", "sample rate", 0), ("rate", "sample rate", -np.inf)])
+def test_positive_and_finite_message(field, what, value):
+    with pytest.raises(ConfigurationError) as exc:
+        GccParams(**{field: value})
+    assert str(exc.value) == f"{what} must be positive and finite, got {value}"

@@ -202,3 +202,65 @@ def test_degenerate_configuration_is_left_out_of_the_count(monkeypatch):
     assert len(calls) == 3
     assert [r.configurations for r in reports] == [2]
     assert np.isfinite(reports[0].rmse_deg)
+
+
+class TestVerdictTuples:
+    """The exact (name, passed, detail) verdicts, detail strings included."""
+
+    def test_passing_set(self):
+        reports = _reports(mm=[1.0, 3.0, 5.0, 8.0], f1=[18.0, 19.0, 21.0, 24.0],
+                           qi=[1.05, 3.1, 5.2, 8.3])
+        assert check_accuracy_reports(reports) == [
+            ("mm-beats-fft01", True, "(0,40): 1.000<= 18.000; (0,10): 3.000<= 19.000; "
+                                     "(0.6,40): 5.000<= 21.000; (0.6,10): 8.000<= 24.000"),
+            ("fft02-qi-within-10pct-of-mm", True, "(0,40): rel=0.050; (0,10): rel=0.033; "
+                                                  "(0.6,40): rel=0.040; (0.6,10): rel=0.038"),
+            ("mm-degrades-with-noise", True, "beta=0: 3.000>= 1.000; beta=0.6: 8.000>= 5.000"),
+            ("mm-degrades-with-reverb", True, "5.000>= 1.000 at snr=40")]
+
+    def test_failing_set(self):
+        # one passing row does not save a property whose other rows fail
+        reports = _reports(mm=[3.0, 1.0, 2.0, 0.5], f1=[2.0, 19.0, 21.0, 24.0],
+                           qi=[3.0, 1.2, 2.1, 0.5])
+        assert check_accuracy_reports(reports) == [
+            ("mm-beats-fft01", False, "(0,40): 3.000<= 2.000; (0,10): 1.000<= 19.000; "
+                                      "(0.6,40): 2.000<= 21.000; (0.6,10): 0.500<= 24.000"),
+            ("fft02-qi-within-10pct-of-mm", False, "(0,40): rel=0.000; (0,10): rel=0.200; "
+                                                   "(0.6,40): rel=0.050; (0.6,10): rel=0.000"),
+            ("mm-degrades-with-noise", False, "beta=0: 1.000>= 3.000; beta=0.6: 0.500>= 2.000"),
+            ("mm-degrades-with-reverb", False, "2.000>= 3.000 at snr=40")]
+
+    def test_missing_method_named_with_its_cell(self):
+        reports = [r for r in _reports(mm=[1.0, 3.0, 5.0, 8.0], f1=[18.0, 19.0, 21.0, 24.0],
+                                       qi=[1.05, 3.1, 5.2, 8.3]) if r.method != "fft02-qi"]
+        with pytest.raises(ConfigurationError) as exc:
+            check_accuracy_reports(reports)
+        assert str(exc.value) == "no report for fft02-qi at beta=0.0, snr=40.0"
+
+
+@pytest.mark.parametrize("seed", [1.5, "8", np.float64(2.0)])
+def test_sweep_seed_must_be_an_integer(seed):
+    """The sweep's seed goes through the same seed path rule as every other seed."""
+    with pytest.raises(ConfigurationError, match="seed path entries must be integers"):
+        run_accuracy_sweep(["mm"], ((0.0, 40.0),), n_configs=1, seed=seed, duration_s=0.1)
+
+
+def test_sweep_takes_a_numpy_integer_seed():
+    kwargs = dict(methods=["mm"], cells=((0.0, 40.0),), n_configs=1, duration_s=0.1,
+                  rir_length=256)
+    assert run_accuracy_sweep(seed=np.int64(3), **kwargs) == run_accuracy_sweep(seed=3, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["timng", "cell", "", "CELLS"])
+@pytest.mark.parametrize("rows", [[], [CellReport("mm", 0.0, 40.0, 1.0, 50)]])
+def test_emit_reports_rejects_an_unknown_kind(tmp_path, kind, rows):
+    out = tmp_path / "r.csv"
+    with pytest.raises(ConfigurationError, match="unknown report kind"):
+        emit_reports(rows, out, kind=kind)
+    assert not out.exists()
+
+
+def test_emit_reports_cells_kind_writes_the_cells_header(tmp_path):
+    out = tmp_path / "empty.csv"
+    emit_reports([], out, kind="cells")
+    assert out.read_text() == CELL_HEADER + "\n"

@@ -796,3 +796,40 @@ def test_empty_rir_rejected():
 def test_source_at_the_pair_midpoint_has_no_doa():
     with pytest.raises(ConfigurationError, match="midpoint"):
         pair_doa([0.0, 0.0, 0.0], [0.05, 0.0, 0.0], [0.025, 0.0, 0.0])
+
+
+class TestPositiveAndFiniteMessages:
+    """Each check names the one value that fails, with the same wording everywhere."""
+
+    @staticmethod
+    def _raises(message, call, *args, **kwargs):
+        with pytest.raises(ConfigurationError) as exc:
+            call(*args, **kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("d", [0.0, -0.05, np.nan, np.inf])
+    def test_place_pair_and_source(self, d):
+        room = RoomSpec(dims=(5.0, 5.0, 3.0), beta=0.3)
+        self._raises(f"microphone spacing must be positive and finite, got {d}",
+                     place_pair_and_source, room, d, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.6])
+    @pytest.mark.parametrize("rate, speed, message", [
+        (0, 343.0, "sample rate must be positive and finite, got 0"),
+        (np.nan, 343.0, "sample rate must be positive and finite, got nan"),
+        (RATE, -1.0, "speed of sound must be positive and finite, got -1.0"),
+        (RATE, np.inf, "speed of sound must be positive and finite, got inf"),
+        # both bad: the rate is checked first
+        (-5, 0.0, "sample rate must be positive and finite, got -5")])
+    def test_image_rir_names_the_value_that_fails(self, beta, rate, speed, message):
+        room = RoomSpec(dims=(5.0, 5.0, 3.0), beta=beta)
+        self._raises(message, image_rir, room, [1.0, 1.0, 1.0], [3.0, 2.0, 1.5], rate,
+                     length=64, speed=speed)
+
+    @pytest.mark.parametrize("duration, rate, message", [
+        (0.0, RATE, "duration must be positive and finite, got 0.0"),
+        (np.inf, RATE, "duration must be positive and finite, got inf"),
+        (1.0, np.nan, "sample rate must be positive and finite, got nan"),
+        (1.0, -16000, "sample rate must be positive and finite, got -16000")])
+    def test_speech_like_source(self, duration, rate, message):
+        self._raises(message, speech_like_source, duration, rate, np.random.default_rng(0))

@@ -297,3 +297,47 @@ class TestCrossSpectrum:
         expected = np.exp(1j * 2 * np.pi * k * d / 64)
         nz = np.abs(out) > 0.5
         assert np.angle(out[nz]) == pytest.approx(np.angle(expected[nz]), abs=1e-9)
+
+
+class TestCrossSpectrumNonFinite:
+    """A NaN or infinite bin raises InputError: it is neither silence nor a phase."""
+
+    @staticmethod
+    def _spectra(shape, seed=9):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                     complex(np.nan, 0.0)])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_single_frame(self, bad, which):
+        spectra = self._spectra(257)
+        spectra[which][100] = bad
+        with pytest.raises(InputError, match=r"non-finite bin \(NaN or inf\)"):
+            cross_spectrum(*spectra)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batch(self, bad):
+        x1, x2 = self._spectra((6, 257))
+        x2[4, 0] = bad
+        with pytest.raises(InputError, match=r"non-finite bin \(NaN or inf\)"):
+            cross_spectrum(x1, x2)
+
+    def test_all_nan_frame_is_not_silence(self):
+        x1, x2 = self._spectra((3, 257))
+        x1[1] = np.nan
+        with pytest.raises(InputError, match=r"non-finite bin \(NaN or inf\)"):
+            cross_spectrum(x1, x2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_out_is_left_untouched(self, bad):
+        x1, x2 = self._spectra((4, 257))
+        x1[2, 7] = bad
+        out = np.full(x1.shape, 5.0 + 1j)
+        with pytest.raises(InputError, match=r"non-finite bin \(NaN or inf\)"):
+            cross_spectrum(x1, x2, out=out)
+        assert np.all(out == 5.0 + 1j)
+
+    def test_empty_spectra_still_allowed(self):
+        out = cross_spectrum(np.zeros((0, 257), complex), np.zeros((0, 257), complex))
+        assert out.shape == (0, 257)
