@@ -7,7 +7,7 @@ import wave
 import numpy as np
 
 from .core import _check_positive_finite
-from .errors import DimensionError, FormatError, InputError
+from .errors import ConfigurationError, DimensionError, FormatError, InputError
 
 
 class StereoWavReader:
@@ -91,10 +91,13 @@ def write_stereo_wav(path, ch1: np.ndarray, ch2: np.ndarray, rate: int,
 
     With normalize=True both channels are scaled by one shared factor to a
     0.99 peak, preserving the interchannel level ratio. Empty channels and
-    non-finite samples raise InputError, and a rate that is not positive and
-    finite ConfigurationError, before the file is opened.
+    non-finite samples raise InputError, and a rate that is not positive, finite
+    and a whole number (wave would round it) ConfigurationError, before the file
+    is opened.
     """
     _check_positive_finite("sample rate", rate)
+    if rate != round(rate):
+        raise ConfigurationError(f"sample rate must be a whole number of Hz, got {rate}")
     ch1 = np.asarray(ch1, dtype=np.float64)
     ch2 = np.asarray(ch2, dtype=np.float64)
     if ch1.shape != ch2.shape or ch1.ndim != 1:

@@ -154,7 +154,7 @@ def cmd_evaluate(args) -> int:
                                             params=_params(args), duration_s=args.duration)
     evaluation.emit_reports(reports, args.out)
     print(f"{len(reports)} rows -> {args.out}")
-    verdicts = evaluation.check_accuracy_reports(reports, cells) if args.check else []
+    verdicts = evaluation.check_accuracy_reports(reports) if args.check else []
     for name, passed, detail in verdicts:
         print(f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})")
     return 0 if all(passed for _, passed, _ in verdicts) else 1

@@ -324,19 +324,18 @@ class SvdEstimator(_PreparedEstimator):
     def __init__(self, params: GccParams, factors: LowRankFactors | None = None):
         super().__init__(params, "svd")
         w = steering_matrix(params, self.grid)
-        # factorize measures what it builds; supplied factors may fit another spacing
-        built = factors is None
-        if built:
+        if factors is None:  # factorize checks the bound on what it builds
             factors = factorize(w, params.delta)
-        if factors.u_r.shape[0] != params.q or factors.t_r.shape[1] != params.half_bins:
+        elif factors.u_r.shape[0] != params.q or factors.t_r.shape[1] != params.half_bins:
             raise DimensionError(
                 f"factors are {factors.u_r.shape[0]} x {factors.t_r.shape[1]}, "
                 f"params need {params.q} x {params.half_bins}")
-        rr, ri = factors.measured_ratios() if built else reconstruction_ratios(factors, w)
-        bound = factors.delta + RECON_SLACK
-        if not (rr <= bound and ri <= bound):
-            raise ConfigurationError(f"factors miss this steering matrix: reconstruction ratios "
-                                     f"{rr:.3e}/{ri:.3e} exceed delta={factors.delta:g}")
+        else:  # supplied factors may fit another spacing
+            rr, ri = reconstruction_ratios(factors, w)
+            bound = factors.delta + RECON_SLACK
+            if not (rr <= bound and ri <= bound):
+                raise ConfigurationError(f"factors miss this steering matrix: reconstruction "
+                                         f"ratios {rr:.3e}/{ri:.3e} exceed delta={factors.delta:g}")
         self.factors = factors
         self._u, self._t_il = factors.operator
 

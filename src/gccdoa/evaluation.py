@@ -105,7 +105,7 @@ def run_accuracy_sweep(methods, cells, n_configs: int, seed: int,
             path = (seed, ci, cfg)
             scenario = random_scenario(beta, snr_db, params.dist, path)
             signal = speech_like_source(duration_s, params.rate, stream_rng(path, SOURCE_STREAM))
-            pair = render(scenario, signal, params.rate, rir_length)
+            pair = render(scenario, signal, params.rate, rir_length, params.speed)
             x1 = stft_frames(pair.ch1, params.n, params.hop)
             x2 = stft_frames(pair.ch2, params.n, params.hop)
             frames = cross_spectrum(x1, x2)
@@ -204,14 +204,24 @@ def _verdict(name: str, rows) -> tuple[str, bool, str]:
     return name, passed, "; ".join(details)
 
 
-def check_accuracy_reports(reports, cells=DEFAULT_CELLS) -> list[tuple[str, bool, str]]:
-    """The four desk-scale replication properties over a finished sweep."""
+def check_accuracy_reports(reports) -> list[tuple[str, bool, str]]:
+    """The four desk-scale replication properties over the reports' own cells.
+
+    Fewer than two betas or two SNRs leave nothing to compare and raise
+    ConfigurationError. An mm RMSE of 0 reads rel=0 against a qi RMSE of 0, else inf.
+    """
+    cells = list(dict.fromkeys((r.beta, r.snr_db) for r in reports))  # in report order
     betas = sorted({beta for beta, _ in cells})
     snrs = sorted({snr for _, snr in cells})
+    for what, values in (("betas", betas), ("SNRs", snrs)):
+        if len(values) < 2:
+            raise ConfigurationError(f"the accuracy check needs reports at two or more {what}, "
+                                     f"got {values}")
     beats, within, noise = [], [], []
     for beta, snr in cells:
         mm, f1, qi = (_cell(reports, m, beta, snr).rmse_deg for m in ("mm", "fft01", "fft02-qi"))
-        rel = abs(qi - mm) / mm
+        gap = abs(qi - mm)
+        rel = gap / mm if mm else (np.inf if gap else 0.0)
         beats.append((mm <= f1, f"({beta:g},{snr:g}): {mm:.3f}<= {f1:.3f}"))
         within.append((rel <= 0.10, f"({beta:g},{snr:g}): rel={rel:.3f}"))
     for beta in betas:

@@ -114,7 +114,7 @@ def _factor_part(w_part: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarr
     u_k = np.concatenate((top, u[h:, :k], sign * top[::-1]))
     t_k = np.ascontiguousarray(s[:k, None] * vt[:k])
     err_sq = float(np.sum(np.square(u_k @ t_k - w_part)))
-    if err_sq > delta * fro_sq + RECON_SLACK:
+    if not err_sq <= delta * fro_sq + RECON_SLACK:  # NaN fails too
         raise NumericalError(
             f"reconstruction error {err_sq:.3e} exceeds delta * ||W||_F^2 = {delta * fro_sq:.3e}")
     return u_k, t_k, k, (err_sq, fro_sq)

@@ -301,8 +301,8 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def render(scenario: Scenario, source_signal: np.ndarray, rate: int = 16000,
-           length: int = RIR_LENGTH) -> RenderedPair:
-    """Convolve the source with both RIRs and add per-channel noise at snr_db.
+           length: int = RIR_LENGTH, speed: float = 343.0) -> RenderedPair:
+    """Convolve the source with both RIRs, built at speed, and add per-channel noise at snr_db.
 
     snr_db=None or +inf disables noise entirely (pure convolutions). Noise draws come
     from the scenario's own seed path, so rendering is bit-reproducible.
@@ -315,7 +315,7 @@ def render(scenario: Scenario, source_signal: np.ndarray, rate: int = 16000,
     channels = []
     rng = stream_rng(scenario.seed, NOISE_STREAM)
     for mic in (scenario.mic_a, scenario.mic_b):
-        h = image_rir(scenario.room, scenario.source, mic, rate, length)
+        h = image_rir(scenario.room, scenario.source, mic, rate, length, speed)
         channels.append(_fftconvolve(source_signal, h))
     if scenario.snr_db is not None and np.isfinite(scenario.snr_db):
         for ch in channels:

@@ -74,7 +74,8 @@ def cross_spectrum(x1: np.ndarray, x2: np.ndarray, out: np.ndarray | None = None
     if out is not None and (np.may_share_memory(out, x1) or np.may_share_memory(out, x2)):
         # conj(x2) goes into out before x1 is read
         raise InputError("out shares memory with an input spectrum")
-    mag = np.abs(x1) * np.abs(x2)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and overflow: refused below
+        mag = np.abs(x1) * np.abs(x2)
     if not mag.max(initial=0.0) < np.inf:  # one reduction; NaN fails too
         raise InputError("spectrum holds a non-finite bin (NaN or inf)")
     # always x1 * conj(x2), in that operand order: `x1 * np.conj(x2)` lets numpy

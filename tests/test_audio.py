@@ -152,3 +152,20 @@ def test_writer_rejects_a_bad_rate_before_the_file_is_opened(tmp_path, rate):
         audio.write_stereo_wav(path, np.zeros(4), np.zeros(4), rate)
     assert str(exc.value) == f"sample rate must be positive and finite, got {rate}"
     assert not path.exists()
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.5, 16000.7])
+def test_writer_rejects_a_rate_that_is_not_whole_before_the_file_is_opened(tmp_path, rate):
+    # wave rounds the rate: 0.3 and 0.5 become 0, 16000.7 would be written as 16001
+    path = tmp_path / "a.wav"
+    with pytest.raises(ConfigurationError) as exc:
+        audio.write_stereo_wav(path, np.zeros(4), np.zeros(4), rate)
+    assert str(exc.value) == f"sample rate must be a whole number of Hz, got {rate}"
+    assert not path.exists()
+
+
+def test_writer_takes_a_whole_float_rate_as_its_integer(tmp_path):
+    ch = np.linspace(-0.5, 0.5, 32)
+    audio.write_stereo_wav(tmp_path / "f.wav", ch, -ch, 16000.0)
+    audio.write_stereo_wav(tmp_path / "i.wav", ch, -ch, 16000)
+    assert (tmp_path / "f.wav").read_bytes() == (tmp_path / "i.wav").read_bytes()

@@ -588,3 +588,18 @@ def test_estimate_refuses_factors_for_a_method_that_reads_none(tmp_path, broadsi
     assert capsys.readouterr().err == (
         f"error: --factors is read by method 'svd' only, not by {method!r}\n")
     assert not out.exists()
+
+
+class TestEvaluateCheckNeedsTwoBetasAndTwoSnrs:
+    """--check compares cells; with one beta or one SNR it exits 2 after writing the CSV."""
+
+    @pytest.mark.parametrize("betas, snrs, missing", [("0", "40", "betas, got [0.0]"),
+                                                      ("0,0.6", "40", "SNRs, got [40.0]")])
+    def test_exits_2_after_the_csv(self, tmp_path, capsys, betas, snrs, missing):
+        out = tmp_path / "acc.csv"
+        assert main(["evaluate", "--betas", betas, "--snrs", snrs, "--configs", "1",
+                     "--duration", "0.3", "--out", str(out), "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: the accuracy check needs reports at two or more {missing}\n"
+        assert "check " not in captured.out
+        assert len(out.read_text().splitlines()) == 1 + 3 * len(betas.split(","))

@@ -264,3 +264,91 @@ def test_emit_reports_cells_kind_writes_the_cells_header(tmp_path):
     out = tmp_path / "empty.csv"
     emit_reports([], out, kind="cells")
     assert out.read_text() == CELL_HEADER + "\n"
+
+
+def _grid_reports(cells, mm, f1, qi):
+    return [CellReport(method, beta, snr, rmse, 50)
+            for (beta, snr), a, b, c in zip(cells, mm, f1, qi)
+            for method, rmse in (("mm", a), ("fft01", b), ("fft02-qi", c))]
+
+
+class TestCellsFromReports:
+    """check_accuracy_reports judges the cells the reports hold, not a restated list."""
+
+    def test_a_non_default_grid_is_checked_as_it_stands(self):
+        reports = _grid_reports(((0.3, 30.0), (0.3, 5.0), (0.9, 30.0), (0.9, 5.0)),
+                                mm=[1.0, 3.0, 5.0, 8.0], f1=[18.0, 19.0, 21.0, 24.0],
+                                qi=[1.05, 3.1, 5.2, 8.3])
+        assert check_accuracy_reports(reports) == [
+            ("mm-beats-fft01", True, "(0.3,30): 1.000<= 18.000; (0.3,5): 3.000<= 19.000; "
+                                     "(0.9,30): 5.000<= 21.000; (0.9,5): 8.000<= 24.000"),
+            ("fft02-qi-within-10pct-of-mm", True, "(0.3,30): rel=0.050; (0.3,5): rel=0.033; "
+                                                  "(0.9,30): rel=0.040; (0.9,5): rel=0.038"),
+            ("mm-degrades-with-noise", True, "beta=0.3: 3.000>= 1.000; beta=0.9: 8.000>= 5.000"),
+            ("mm-degrades-with-reverb", True, "5.000>= 1.000 at snr=30")]
+
+    def test_details_follow_the_report_order(self):
+        cells = ((0.6, 10.0), (0.0, 10.0), (0.6, 40.0), (0.0, 40.0))
+        reports = _grid_reports(cells, mm=[8.0, 3.0, 5.0, 1.0], f1=[24.0, 19.0, 21.0, 18.0],
+                                qi=[8.3, 3.1, 5.2, 1.05])
+        beats = check_accuracy_reports(reports)[0][2]
+        assert beats == ("(0.6,10): 8.000<= 24.000; (0,10): 3.000<= 19.000; "
+                         "(0.6,40): 5.000<= 21.000; (0,40): 1.000<= 18.000")
+
+    def test_a_sweep_over_other_cells_is_checked_without_restating_them(self):
+        cells = ((0.3, 30.0), (0.9, 5.0), (0.3, 5.0), (0.9, 30.0))
+        reports = run_accuracy_sweep(["mm", "fft01", "fft02-qi"], cells, n_configs=1, seed=4,
+                                     duration_s=0.3, rir_length=1024)
+        verdicts = check_accuracy_reports(reports)
+        assert [name for name, _, _ in verdicts] == [
+            "mm-beats-fft01", "fft02-qi-within-10pct-of-mm", "mm-degrades-with-noise",
+            "mm-degrades-with-reverb"]
+        assert verdicts[0][2].startswith("(0.3,30): ")
+
+    @pytest.mark.parametrize("cells, message", [
+        (((0.0, 40.0),), "betas, got [0.0]"),
+        (((0.0, 40.0), (0.0, 10.0)), "betas, got [0.0]"),
+        (((0.0, 40.0), (0.6, 40.0)), "SNRs, got [40.0]"),
+    ])
+    def test_fewer_than_two_betas_or_snrs_is_refused(self, cells, message):
+        reports = _grid_reports(cells, mm=[1.0] * 4, f1=[2.0] * 4, qi=[1.0] * 4)
+        with pytest.raises(ConfigurationError) as exc:
+            check_accuracy_reports(reports)
+        assert str(exc.value) == f"the accuracy check needs reports at two or more {message}"
+
+    def test_no_reports_is_refused(self):
+        with pytest.raises(ConfigurationError, match=r"two or more betas, got \[\]"):
+            check_accuracy_reports([])
+
+
+class TestZeroMmRmse:
+    """An mm RMSE of exactly 0 gives rel 0 against a qi RMSE of 0, and inf otherwise."""
+
+    def test_both_zero_reads_rel_zero_and_passes(self):
+        reports = _reports(mm=[0.0, 3.0, 5.0, 8.0], f1=[18.0, 19.0, 21.0, 24.0],
+                           qi=[0.0, 3.1, 5.2, 8.3])
+        name, passed, detail = check_accuracy_reports(reports)[1]
+        assert (name, passed) == ("fft02-qi-within-10pct-of-mm", True)
+        assert detail.startswith("(0,40): rel=0.000; ")
+
+    def test_mm_zero_alone_reads_rel_inf_and_fails(self):
+        reports = _reports(mm=[0.0, 3.0, 5.0, 8.0], f1=[18.0, 19.0, 21.0, 24.0],
+                           qi=[0.2, 3.1, 5.2, 8.3])
+        name, passed, detail = check_accuracy_reports(reports)[1]
+        assert (name, passed) == ("fft02-qi-within-10pct-of-mm", False)
+        assert detail.startswith("(0,40): rel=inf; (0,10): rel=0.033")
+
+
+def test_sweep_renders_at_the_params_speed_of_sound(monkeypatch):
+    import inspect
+    from gccdoa import simulator
+    real = simulator.image_rir
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("speed", 343.0))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(simulator, "image_rir", spy)
+    run_accuracy_sweep(["mm"], ((0.0, 40.0),), n_configs=2, seed=6,
+                       params=GccParams(speed=300.0), duration_s=0.3, rir_length=1024)
+    assert seen == [300.0] * 4  # two mics per configuration

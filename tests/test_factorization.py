@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gccdoa import factorization
@@ -474,3 +474,28 @@ def test_save_rejects_shapes_that_disagree_with_the_ranks(tmp_path, change):
     with pytest.raises(DimensionError, match="do not match"):
         save_factors(replace(factorize(W, 1e-5), **change), path)
     assert not path.exists()
+
+
+class TestFactorizeIsTheCheckOfWhatItBuilds:
+    """SvdEstimator measures only supplied factors, so factorize's own bound must hold."""
+
+    def test_nan_singular_values_raise(self, monkeypatch):
+        real = np.linalg.svd
+
+        def nan_singular_values(a, full_matrices=True):
+            u, s, vt = real(a, full_matrices=full_matrices)
+            return u, np.full_like(s, np.nan), vt
+        monkeypatch.setattr(np.linalg, "svd", nan_singular_values)
+        with pytest.raises(NumericalError, match="reconstruction error nan exceeds"):
+            factorize(W, TABLE.delta)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(q=st.integers(2, 400), dist=st.floats(1e-4, 5.48))
+    @example(q=400, dist=1e-4)
+    @example(q=3, dist=1e-4)
+    def test_measured_ratios_within_delta(self, q, dist):
+        # at 1e-4 m ||W_I||_F^2 is ~1e-4, where factorize's absolute 1e-9 slack is
+        # ~1e-5 of the ratio: only the rank choice keeps the ratio itself within delta
+        p = GccParams(q=q, dist=dist)
+        rr, ri = factorize(steering_matrix(p, theta_grid(p)), p.delta).measured_ratios()
+        assert rr <= p.delta and ri <= p.delta

@@ -833,3 +833,16 @@ class TestPositiveAndFiniteMessages:
         (1.0, -16000, "sample rate must be positive and finite, got -16000")])
     def test_speech_like_source(self, duration, rate, message):
         self._raises(message, speech_like_source, duration, rate, np.random.default_rng(0))
+
+
+class TestRenderSpeed:
+    """render builds both RIRs at its speed of sound, 343 m/s unless told otherwise."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.6])
+    def test_rirs_are_built_at_the_given_speed(self, beta):
+        sc = _tiny_scenario(beta=beta)
+        sig = speech_like_source(0.5, RATE, np.random.default_rng(13))
+        pair = render(sc, sig, RATE, 1024, 300.0)
+        for mic, ch in ((sc.mic_a, pair.ch1), (sc.mic_b, pair.ch2)):
+            assert np.array_equal(ch, fftconvolve(sig, image_rir(sc.room, sc.source, mic, RATE,
+                                                                  1024, speed=300.0)))

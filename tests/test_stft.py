@@ -1,4 +1,6 @@
 """Framing, windows, and the PHAT cross-spectrum."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -341,3 +343,32 @@ class TestCrossSpectrumNonFinite:
     def test_empty_spectra_still_allowed(self):
         out = cross_spectrum(np.zeros((0, 257), complex), np.zeros((0, 257), complex))
         assert out.shape == (0, 257)
+
+
+class TestCrossSpectrumRefusesWithoutWarning:
+    """inf * 0 and an overflowing magnitude product raise InputError and emit no warning."""
+
+    @staticmethod
+    def _pair():
+        rng = np.random.default_rng(5)
+        return [rng.standard_normal((3, 257)) + 1j * rng.standard_normal((3, 257)) for _ in range(2)]
+
+    @pytest.mark.parametrize("case", ["inf against zero", "overflow"])
+    def test_raises_input_error_and_leaves_out_alone(self, case):
+        x1, x2 = self._pair()
+        if case == "inf against zero":
+            x1[1, 2], x2[1, 2] = np.inf, 0.0
+        else:
+            x1[1, 2], x2[1, 2] = 1e200, 1e200j
+        out = np.full(x1.shape, 5.0 + 1j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"non-finite bin \(NaN or inf\)"):
+                cross_spectrum(x1, x2, out=out)
+        assert np.all(out == 5.0 + 1j)
+
+    def test_a_large_finite_product_is_still_accepted(self):
+        x1, x2 = self._pair()
+        x1[1, 2], x2[1, 2] = 1e150, -1e150j
+        out = cross_spectrum(x1, x2)
+        assert out[1, 2] == pytest.approx(1j, abs=1e-15)
