@@ -34,6 +34,10 @@ def _check_positive_finite(what: str, value) -> None:
         raise ConfigurationError(f"{what} must be positive and finite, got {value}")
 
 
+# the types a grid count, frame size or hop may have: a float would reach numpy's shape arguments
+_INTEGER = (int, np.integer)
+
+
 @dataclass(frozen=True)
 class GccParams:
     """All scalar configuration for the estimators.
@@ -60,6 +64,11 @@ class GccParams:
     interp: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("q", "n", "hop"):  # kept as int: the fft paths call int methods on n
+            value = getattr(self, name)
+            if not isinstance(value, _INTEGER):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.q < 2:
             raise ConfigurationError(f"need at least 2 grid angles, got q={self.q}")
         if self.n < 4 or self.n % 2 != 0:

@@ -317,8 +317,9 @@ class FftEstimator(_PreparedEstimator):
 class SvdEstimator(_PreparedEstimator):
     """Low-rank back-end using offline factors (built here if not supplied).
 
-    Factors that miss this steering matrix by more than their own delta (built
-    for another spacing, speed or rate) raise ConfigurationError.
+    Factors of another Q x (N/2+1) raise DimensionError; factors that miss this
+    steering matrix by more than their own delta (built for another spacing,
+    speed or rate) raise ConfigurationError.
     """
 
     def __init__(self, params: GccParams, factors: LowRankFactors | None = None):
@@ -326,10 +327,6 @@ class SvdEstimator(_PreparedEstimator):
         w = steering_matrix(params, self.grid)
         if factors is None:  # factorize checks the bound on what it builds
             factors = factorize(w, params.delta)
-        elif factors.u_r.shape[0] != params.q or factors.t_r.shape[1] != params.half_bins:
-            raise DimensionError(
-                f"factors are {factors.u_r.shape[0]} x {factors.t_r.shape[1]}, "
-                f"params need {params.q} x {params.half_bins}")
         else:  # supplied factors may fit another spacing
             rr, ri = reconstruction_ratios(factors, w)
             bound = factors.delta + RECON_SLACK

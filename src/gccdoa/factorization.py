@@ -27,6 +27,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import DimensionError, FormatError, NumericalError
 
 MAGIC = b"GPHAT-SVD\x00"
 VERSION = 1
+HEADER = struct.Struct("<5Id")  # after MAGIC: version, Q, N, K_R, K_I, delta
 RECON_SLACK = 1e-9  # absolute slack over delta for rounding in reconstruction checks
 
 # name patterns of OpenBLAS's thread-count calls, as numpy's wheels and distributions link it
@@ -64,12 +66,19 @@ class LowRankFactors:
     # (||U_a T_a - W_a||_F^2, ||W_a||_F^2) for a in {R, I} from factorize's bound check, else None
     sums: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        shapes = [m.shape for m in (self.u_r, self.t_r, self.u_i, self.t_i)]
+        q, bins = self.u_r.shape[:1], self.t_r.shape[-1:]
+        expected = [(*q, self.k_r), (self.k_r, *bins), (*q, self.k_i), (self.k_i, *bins)]
+        if shapes != expected:
+            raise DimensionError(f"factor shapes {shapes} do not match "
+                                 f"K_R={self.k_r}, K_I={self.k_i}: expected {expected}")
+
     @cached_property
     def operator(self) -> tuple[np.ndarray, np.ndarray]:
-        k_r, bins = self.t_r.shape
-        t_il = np.zeros((k_r + self.t_i.shape[0], 2 * bins))
-        t_il[:k_r, 0::2] = self.t_r
-        t_il[k_r:, 1::2] = self.t_i
+        t_il = np.zeros((self.k_r + self.k_i, 2 * self.t_r.shape[1]))
+        t_il[:self.k_r, 0::2] = self.t_r
+        t_il[self.k_r:, 1::2] = self.t_i
         return np.concatenate((self.u_r, -self.u_i), axis=1), t_il
 
     def measured_ratios(self) -> tuple[float, float]:
@@ -172,7 +181,12 @@ def factorize(w: SteeringMatrix, delta: float) -> LowRankFactors:
 
 
 def reconstruction_ratios(factors: LowRankFactors, w: SteeringMatrix) -> tuple[float, float]:
-    """||U_a T_a - W_a||_F^2 / ||W_a||_F^2 for a in {R, I}."""
+    """||U_a T_a - W_a||_F^2 / ||W_a||_F^2 for a in {R, I}; factors of another
+    Q x (N/2+1) than W's raise DimensionError."""
+    size = (factors.u_r.shape[0], factors.t_r.shape[1])
+    if size != w.entries.shape:
+        raise DimensionError(f"factors are {size[0]} x {size[1]}, "
+                             f"the steering matrix is {w.entries.shape[0]} x {w.entries.shape[1]}")
     w_r, w_i = split_steering(w)
     rr = float(np.sum(np.square(factors.u_r @ factors.t_r - w_r)) / np.sum(w_r * w_r))
     ri = float(np.sum(np.square(factors.u_i @ factors.t_i - w_i)) / np.sum(w_i * w_i))
@@ -180,34 +194,24 @@ def reconstruction_ratios(factors: LowRankFactors, w: SteeringMatrix) -> tuple[f
 
 
 def save_factors(factors: LowRankFactors, destination) -> None:
-    """Write factors in the GPHAT-SVD binary format (little-endian, f8). Shapes that
-    disagree with K_R and K_I, which load_factors would reject, raise DimensionError
-    before the file is opened."""
-    q = factors.u_r.shape[0]
-    half_bins = factors.t_r.shape[-1]
-    mats = (factors.u_r, factors.t_r, factors.u_i, factors.t_i)
-    shapes = [(q, factors.k_r), (factors.k_r, half_bins), (q, factors.k_i), (factors.k_i, half_bins)]
-    if [m.shape for m in mats] != shapes:
-        raise DimensionError(f"factor shapes {[m.shape for m in mats]} do not match "
-                             f"K_R={factors.k_r}, K_I={factors.k_i}: expected {shapes}")
-    n = 2 * (half_bins - 1)
-    header = MAGIC + struct.pack("<IIIII", VERSION, q, n, factors.k_r, factors.k_i)
-    header += struct.pack("<d", factors.delta)
+    """Write factors in the GPHAT-SVD binary format (little-endian, f8)."""
+    q, half_bins = factors.u_r.shape[0], factors.t_r.shape[1]
+    header = MAGIC + HEADER.pack(VERSION, q, 2 * (half_bins - 1), factors.k_r, factors.k_i, factors.delta)
     with open(destination, "wb") as fh:
         fh.write(header)
-        for m in mats:
+        for m in (factors.u_r, factors.t_r, factors.u_i, factors.t_i):
             fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
 
 
 def load_factors(source) -> LowRankFactors:
     """Read a GPHAT-SVD factor file; round-trips save_factors bit-exactly."""
     raw = Path(source).read_bytes()
-    head_len = len(MAGIC) + 5 * 4 + 8
+    head_len = len(MAGIC) + HEADER.size
     if len(raw) < head_len:
         raise FormatError(f"file too short for a factor header ({len(raw)} bytes)")
     if raw[: len(MAGIC)] != MAGIC:
         raise FormatError("bad magic: not a GPHAT-SVD factor file")
-    version, q, n, k_r, k_i = struct.unpack_from("<IIIII", raw, len(MAGIC))
+    version, q, n, k_r, k_i, delta = HEADER.unpack_from(raw, len(MAGIC))
     if version != VERSION:
         raise FormatError(f"unsupported version {version} (expected {VERSION})")
     if n < 4 or n % 2 != 0:
@@ -217,20 +221,14 @@ def load_factors(source) -> LowRankFactors:
     for name, k in (("K_R", k_r), ("K_I", k_i)):
         if not 1 <= k <= limit:
             raise FormatError(f"{name}={k} outside [1, min(Q, N/2+1)] = [1, {limit}]")
-    (delta,) = struct.unpack_from("<d", raw, len(MAGIC) + 20)
     if not 0.0 < delta < 1.0:  # False for NaN as well
         raise FormatError(f"delta={delta} outside (0, 1)")
     shapes = [(q, k_r), (k_r, half_bins), (q, k_i), (k_i, half_bins)]
-    expected = head_len + 8 * sum(r * c for r, c in shapes)
-    if len(raw) != expected:
-        raise FormatError(f"matrix payload is {len(raw) - head_len} bytes, expected {expected - head_len}")
-    mats = []
-    offset = head_len
-    for r, c in shapes:
-        count = r * c
-        mats.append(np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(r, c))
-        offset += 8 * count
-    if not all(np.isfinite(m).all() for m in mats):
+    ends = list(accumulate((r * c for r, c in shapes), initial=0))
+    if len(raw) != head_len + 8 * ends[-1]:
+        raise FormatError(f"matrix payload is {len(raw) - head_len} bytes, expected {8 * ends[-1]}")
+    payload = np.frombuffer(raw, dtype="<f8", offset=head_len).astype(np.float64)
+    if not np.isfinite(payload).all():
         raise FormatError("matrix payload holds a non-finite entry (NaN or inf)")
-    u_r, t_r, u_i, t_i = (m.astype(np.float64) for m in mats)
+    u_r, t_r, u_i, t_i = (payload[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes))
     return LowRankFactors(u_r=u_r, t_r=t_r, u_i=u_i, t_i=t_i, k_r=k_r, k_i=k_i, delta=delta)

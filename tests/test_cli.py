@@ -91,6 +91,18 @@ class TestEstimate:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_svd_with_factors_of_another_grid_size_is_clean_error(self, tmp_path, broadside_wav,
+                                                                  capsys):
+        fac = tmp_path / "w.gsvd"
+        assert main(["factorize", "--out", str(fac)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "svd.ndjson"
+        rc = main(["estimate", str(broadside_wav), "--q", "91", "--method", "svd",
+                   "--factors", str(fac), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: factors are 181 x 257, the steering matrix is 91 x 257\n"
+        assert not out.exists()
+
     def test_silent_frames_have_no_angle(self, tmp_path, capsys):
         rng = np.random.default_rng(22)
         sig = rng.standard_normal(16000) * 0.2

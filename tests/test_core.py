@@ -236,3 +236,21 @@ def test_positive_and_finite_message(field, what, value):
     with pytest.raises(ConfigurationError) as exc:
         GccParams(**{field: value})
     assert str(exc.value) == f"{what} must be positive and finite, got {value}"
+
+
+class TestIntegerCounts:
+    """q, n and hop become numpy shapes and strides: a float is refused where it is set."""
+
+    @pytest.mark.parametrize("kwargs", [dict(q=181.0), dict(n=512.0), dict(hop=160.0),
+                                        dict(n=np.float64(512)), dict(hop="160")])
+    def test_non_integer_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            GccParams(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        from gccdoa.estimators import build_estimator
+        p = GccParams(q=np.int64(181), n=np.int32(512), hop=np.uint16(160))
+        assert p == TABLE and {type(p.q), type(p.n), type(p.hop)} == {int}
+        x = np.exp(1j * np.linspace(0.0, 3.0, 257))
+        for name in ("mm", "svd", "fft02-qi"):
+            assert build_estimator(name, p).estimate(x) == build_estimator(name, TABLE).estimate(x)

@@ -499,3 +499,35 @@ class TestFactorizeIsTheCheckOfWhatItBuilds:
         p = GccParams(q=q, dist=dist)
         rr, ri = factorize(steering_matrix(p, theta_grid(p)), p.delta).measured_ratios()
         assert rr <= p.delta and ri <= p.delta
+
+
+FACTORS = factorize(W, TABLE.delta)
+_SHAPE_BREAKS = [dict(k_r=7), dict(k_i=3), dict(t_i=np.zeros((4, 258))), dict(u_i=np.zeros((181, 3))),
+                 dict(t_r=np.zeros(257)), dict(u_r=np.zeros(181))]
+
+
+@pytest.mark.parametrize("change", _SHAPE_BREAKS)
+def test_mis_shaped_factors_cannot_be_built(change):
+    """A factor set whose shapes disagree with K_R, K_I and one Q x (N/2+1) cannot be
+    built, so svd_correlate and SvdEstimator never meet it with a numpy error."""
+    from gccdoa.estimators import SvdEstimator
+    with pytest.raises(DimensionError, match="do not match"):
+        svd_correlate(replace(FACTORS, **change), np.ones(257, dtype=complex))
+    with pytest.raises(DimensionError, match="do not match"):
+        SvdEstimator(TABLE, replace(FACTORS, **change))
+
+
+@pytest.mark.parametrize("params", [GccParams(q=91), GccParams(n=1024)])
+def test_reconstruction_ratios_rejects_another_grid(params):
+    w = steering_matrix(params, theta_grid(params))
+    with pytest.raises(DimensionError, match=f"181 x 257, the steering matrix is "
+                                             f"{params.q} x {params.half_bins}"):
+        reconstruction_ratios(FACTORS, w)
+
+
+def test_header_is_one_struct_of_the_saved_fields(tmp_path):
+    path = tmp_path / "w.gsvd"
+    save_factors(FACTORS, path)
+    raw = path.read_bytes()
+    assert factorization.HEADER.unpack_from(raw, len(MAGIC)) == (1, 181, 512, *REFERENCE_RANKS, 1e-5)
+    assert len(raw) == len(MAGIC) + factorization.HEADER.size + 8 * (181 + 257) * sum(REFERENCE_RANKS)

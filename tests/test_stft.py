@@ -145,6 +145,26 @@ class TestStftFrames:
             assert stft_frames(sig, n, hop, window, out=out) is out
             assert np.array_equal(out, stft_frames(sig, n, hop, window)), (length, n, hop)
 
+    @pytest.mark.parametrize("n, hop", [(16.0, 4), (16, 20.0), (np.float64(16), 4), (16, "4")])
+    def test_non_integer_frame_size_or_hop_rejected(self, n, hop):
+        with pytest.raises(ConfigurationError, match="integers >= 1"):
+            stft_frames(np.ones(100), n, hop)
+
+    def test_numpy_integer_frame_size_and_hop_accepted(self):
+        sig = np.random.default_rng(18).uniform(-1.0, 1.0, 100)
+        assert np.array_equal(stft_frames(sig, np.int64(16), np.uint8(4)), stft_frames(sig, 16, 4))
+
+    @pytest.mark.parametrize("shape, dtype, error", [
+        ((5, 9), np.complex128, DimensionError), ((6, 10), np.complex128, DimensionError),
+        ((54,), np.complex128, DimensionError), ((1, 6, 9), np.complex128, DimensionError),
+        ((6, 9), np.complex64, InputError), ((6, 9), np.float64, InputError)])
+    def test_out_of_another_shape_or_dtype_rejected_unwritten(self, shape, dtype, error):
+        # 100 samples at n = hop = 16 make 6 frames of 9 bins
+        out = np.full(shape, 7, dtype=dtype)
+        with pytest.raises(error, match="out has"):
+            stft_frames(np.random.default_rng(19).uniform(-1.0, 1.0, 100), 16, 16, out=out)
+        assert (out == 7).all()
+
     def test_calls_without_out_return_their_own_arrays(self):
         sig = np.random.default_rng(17).uniform(-1.0, 1.0, 1000)
         a, b = stft_frames(sig, 256, 128), stft_frames(sig, 256, 128)
@@ -267,6 +287,22 @@ class TestCrossSpectrum:
             with pytest.raises(InputError):
                 cross_spectrum(x1, x2, out=out)
             assert np.array_equal(x1, before[0]) and np.array_equal(x2, before[1])
+
+    @pytest.mark.parametrize("in_shape, in_dtype, shape, dtype, error", [
+        ((5,), np.complex128, (2, 5), np.complex128, DimensionError),
+        ((5,), np.complex128, (4,), np.complex128, DimensionError),
+        ((3, 257), np.complex128, (257,), np.complex128, DimensionError),
+        ((5,), np.complex128, (5,), np.complex64, InputError),
+        ((5,), np.complex64, (5,), np.complex128, InputError),
+        ((3, 257), np.complex128, (3, 257), np.float64, InputError)])
+    def test_out_of_another_shape_or_dtype_rejected_unwritten(self, in_shape, in_dtype,
+                                                               shape, dtype, error):
+        """out must have the shape and dtype the call returns without it."""
+        x1, x2 = self._spectra(in_shape, in_dtype)
+        out = np.full(shape, 7, dtype=dtype)
+        with pytest.raises(error, match="out has"):
+            cross_spectrum(x1, x2, out=out)
+        assert (out == 7).all()
 
     def test_out_beside_its_inputs_in_one_workspace(self):
         # disjoint slices of one array, as gccdoa estimate's workspace holds them

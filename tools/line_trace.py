@@ -12,6 +12,11 @@ no test ran, one ``module:line  source`` line is printed, then a count per
 module. The exit status is pytest's. Nothing is written into the checkout: no
 bytecode, no ``.pytest_cache`` and no hypothesis database (pytest runs from a
 temporary directory). Needs only the standard library and pytest.
+
+``tests/test_acceptance.py::test_criterion_7_timing_orderings`` is deselected:
+it compares per-frame medians of the back-ends, and under the tracer the
+per-line cost of Python code swamps the arithmetic those orderings are about,
+so it can fail with no fault in the code. The plain tier-1 suite runs it.
 """
 import os
 import sys
@@ -63,6 +68,7 @@ def executable_lines(path: Path) -> set[int]:
 
 
 args = ["-q", "-p", "no:cacheprovider", f"--rootdir={checkout}", "-c", str(checkout / "pyproject.toml"),
+        "--deselect", "tests/test_acceptance.py::test_criterion_7_timing_orderings",
         *sys.argv[1:], str(checkout / "tests"), str(checkout / "perfbench")]
 with tempfile.TemporaryDirectory() as workdir:
     os.chdir(workdir)
