@@ -34,7 +34,7 @@ def _check_positive_finite(what: str, value) -> None:
         raise ConfigurationError(f"{what} must be positive and finite, got {value}")
 
 
-# the types a grid count, frame size or hop may have: a float would reach numpy's shape arguments
+# the types q, n, hop and interp may have: a float would reach numpy's shapes or a format code
 _INTEGER = (int, np.integer)
 
 
@@ -64,7 +64,7 @@ class GccParams:
     interp: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("q", "n", "hop"):  # kept as int: the fft paths call int methods on n
+        for name in ("q", "n", "hop", "interp"):  # kept as int: the fft paths call int methods on n
             value = getattr(self, name)
             if not isinstance(value, _INTEGER):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")

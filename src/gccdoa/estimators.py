@@ -28,6 +28,7 @@ its factors carry); the prepared classes build it once
 and share one ``estimate(x12) -> DoaEstimate`` (check the frame, run the
 kernel, take the peak). Prepared state is immutable; estimate calls allocate
 their own scratch and are reentrant.
+Each curve is one real-linear map, which ``_curve_operator`` reads from that state.
 """
 from __future__ import annotations
 
@@ -338,6 +339,25 @@ class SvdEstimator(_PreparedEstimator):
 
     def _curve(self, x12: np.ndarray) -> np.ndarray:
         return _svd_apply(self._u, self._t_il, x12)
+
+
+def _curve_operator(est: _PreparedEstimator) -> np.ndarray:
+    """Real Q x 2(N/2+1) A with est._curve(x) = A @ x.view(np.float64) up to rounding,
+    whichever path runs; a chirp-z or irfft window's rows are built here, uncached."""
+    if isinstance(est, MatrixEstimator):
+        return np.conj(est._entries).view(np.float64)
+    if isinstance(est, SvdEstimator):
+        return est._u @ est._t_il
+    lags, weights = _lag_table(est.grid.taus, est.params, est.qi)
+    lo = int(lags.min())
+    op = est._op if est._op is not None else _lag_operator.__wrapped__(
+        est.params.n, est.params.interp, lo, int(lags.max()) - lo + 1)
+    return op[lags - lo] if weights is None else np.einsum("ij,ijk->jk", weights, op[lags - lo])
+
+
+def _gap_bound(a: np.ndarray, a_mm: np.ndarray) -> np.ndarray:
+    """Worst |curve[q] - mm's curve[q]| on a PHAT frame: row sums of |a - a_mm| over (re, im) pairs."""
+    return np.abs((a - a_mm).view(np.complex128)).sum(axis=1)
 
 
 # name -> (kind, interp, qi), in roster order

@@ -22,6 +22,7 @@ library default. Where numpy's BLAS is not OpenBLAS the count is left alone.
 from __future__ import annotations
 
 import ctypes
+import operator
 import struct
 import threading
 from contextlib import contextmanager
@@ -67,6 +68,11 @@ class LowRankFactors:
     sums: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name, attr in (("K_R", "k_r"), ("K_I", "k_i")):  # as int: struct and np.zeros refuse floats
+            try:
+                object.__setattr__(self, attr, operator.index(getattr(self, attr)))
+            except TypeError:
+                raise DimensionError(f"{name} must be an integer, got {getattr(self, attr)!r}") from None
         shapes = [m.shape for m in (self.u_r, self.t_r, self.u_i, self.t_i)]
         q, bins = self.u_r.shape[:1], self.t_r.shape[-1:]
         expected = [(*q, self.k_r), (self.k_r, *bins), (*q, self.k_i), (self.k_i, *bins)]

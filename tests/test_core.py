@@ -254,3 +254,23 @@ class TestIntegerCounts:
         x = np.exp(1j * np.linspace(0.0, 3.0, 257))
         for name in ("mm", "svd", "fft02-qi"):
             assert build_estimator(name, p).estimate(x) == build_estimator(name, TABLE).estimate(x)
+
+
+class TestIntegerInterp:
+    """interp sizes the padded transform and names the fft back-end (``fft{interp:02d}``):
+    a float or a string is refused where it is set, even one equal to an allowed factor."""
+
+    @pytest.mark.parametrize("interp", [2.0, np.float64(2), "2"])
+    def test_non_integer_rejected(self, interp):
+        with pytest.raises(ConfigurationError) as info:
+            GccParams(interp=interp)
+        assert str(info.value) == f"interp must be an integer, got {interp!r}"
+
+    def test_numpy_integer_accepted(self):
+        from gccdoa.estimators import FftEstimator
+        p = GccParams(interp=np.int64(2))
+        assert p == GccParams(interp=2) and type(p.interp) is int
+        est = FftEstimator(p, qi=True)
+        assert est.name == "fft02-qi"
+        x = np.exp(1j * np.linspace(0.0, 3.0, 257))
+        assert est.estimate(x) == FftEstimator(GccParams(interp=2), qi=True).estimate(x)

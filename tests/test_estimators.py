@@ -14,8 +14,8 @@ from gccdoa.core import (ALLOWED_INTERP, AngularGrid, GccParams, normalization_g
 from gccdoa.errors import ConfigurationError, DimensionError, InputError
 from gccdoa.evaluation import DEFAULT_BENCH_SEED
 from gccdoa.estimators import (DoaEstimate, FftEstimator, InterpolatedLags,
-                               MatrixEstimator, SvdEstimator, _lag_operator,
-                               build_estimator, fft_correlate, map_lags,
+                               MatrixEstimator, SvdEstimator, _curve_operator,
+                               _gap_bound, _lag_operator, build_estimator, fft_correlate, map_lags,
                                method_names, mm_correlate, parse_method,
                                pick_peak, qi_correlate, svd_correlate)
 from gccdoa.factorization import factorize
@@ -827,3 +827,51 @@ def test_lags_of_the_wrong_length_rejected(readout):
     y = InterpolatedLags(samples=np.zeros(100), factor=TABLE.interp)
     with pytest.raises(DimensionError, match="100 lag samples"):
         readout(y, GRID, TABLE)
+
+
+class TestCurveOperator:
+    """_curve_operator reads each back-end's linear map A_m from its prepared state, and
+    _gap_bound turns A_m and A_mm into r_m: both match the black-box probe above."""
+
+    @pytest.mark.parametrize("spacing", list(_SPACINGS))
+    def test_matches_the_black_box_map_and_gap(self, spacing):
+        ops = _curve_operators(spacing)
+        a_mm = _curve_operator(ops["mm"][0])
+        for name, (est, a, r) in ops.items():
+            op = _curve_operator(est)
+            assert op.shape == a.shape and op.dtype == np.float64, name
+            assert np.max(np.abs(op - a)) <= 1e-12 * np.max(np.abs(a)), name
+            assert np.max(np.abs(_gap_bound(op, a_mm) - r)) <= 1e-12, name
+
+    def test_largest_gaps_at_the_defaults(self):
+        # max r_m at the defaults, to 3 figures; a curve peaks at <= 16.0
+        expected = {"mm": 0.0, "fft01": 11.9, "fft02": 6.14, "fft04": 3.10, "fft08": 1.57, "fft16": 0.783,
+                    "fft32": 0.393, "fft01-qi": 5.44, "fft02-qi": 0.885, "fft04-qi": 0.118,
+                    "fft08-qi": 1.51e-2, "fft16-qi": 1.89e-3, "fft32-qi": 2.37e-4, "svd": 2.37e-2}
+        a_mm = _curve_operator(build_estimator("mm", TABLE))
+        for name in method_names():
+            gap = float(_gap_bound(_curve_operator(build_estimator(name, TABLE)), a_mm).max())
+            assert gap == pytest.approx(expected[name], rel=5e-3), name
+
+    @pytest.mark.parametrize("params", [GccParams(dist=0.2, q=91), GccParams(dist=1.0)])
+    def test_every_lag_path_at_wider_spacings(self, params):
+        # 0.2 m reads by operator, irfft and chirp-z; 1 m by irfft and chirp-z only
+        frames = unit_modulus_batch(4, bins=params.half_bins, seed=52)
+        for name in method_names():
+            est = build_estimator(name, params)
+            a = _curve_operator(est)
+            assert a.shape == (params.q, 2 * params.half_bins), name
+            for x in frames:
+                curve = est._curve(x)
+                assert np.max(np.abs(a @ x.view(np.float64) - curve)) <= 1e-12 * np.max(np.abs(curve)), name
+
+    def test_leaves_the_shared_cache_and_every_estimate_alone(self):
+        # at dist=0.3 no fft window is in the 12-entry cache: a cached build would evict one
+        ests = [build_estimator(name, params) for params in _SPACINGS.values() for name in method_names()]
+        frames = unit_modulus_batch(3, seed=53)
+        before = [[repr(est.estimate(x)) for x in frames] for est in ests]
+        info = _lag_operator.cache_info()
+        for est in ests:
+            _curve_operator(est)
+        assert _lag_operator.cache_info() == info
+        assert [[repr(est.estimate(x)) for x in frames] for est in ests] == before

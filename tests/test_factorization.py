@@ -531,3 +531,23 @@ def test_header_is_one_struct_of_the_saved_fields(tmp_path):
     raw = path.read_bytes()
     assert factorization.HEADER.unpack_from(raw, len(MAGIC)) == (1, 181, 512, *REFERENCE_RANKS, 1e-5)
     assert len(raw) == len(MAGIC) + factorization.HEADER.size + 8 * (181 + 257) * sum(REFERENCE_RANKS)
+
+
+@pytest.mark.parametrize("change, rank", [(dict(k_r=5.0), "K_R"), (dict(k_i=4.0), "K_I"),
+                                          (dict(k_r=np.float64(5)), "K_R"), (dict(k_i="4"), "K_I")])
+def test_non_integer_ranks_rejected(change, rank):
+    """A float rank equal to the true one passes the shape check ((181, 5.0) == (181, 5)), so
+    the rank itself is checked: the set is never built, and operator and save_factors never run."""
+    with pytest.raises(DimensionError, match=f"{rank} must be an integer, got "):
+        replace(FACTORS, **change)
+
+
+def test_numpy_integer_ranks_accepted(tmp_path):
+    factors = replace(FACTORS, k_r=np.int64(REFERENCE_RANKS[0]), k_i=np.uint8(REFERENCE_RANKS[1]))
+    assert (factors.k_r, factors.k_i) == REFERENCE_RANKS
+    assert type(factors.k_r) is int and type(factors.k_i) is int
+    save_factors(FACTORS, tmp_path / "int.gsvd")
+    save_factors(factors, tmp_path / "numpy.gsvd")
+    assert (tmp_path / "numpy.gsvd").read_bytes() == (tmp_path / "int.gsvd").read_bytes()
+    for built, ref in zip(factors.operator, FACTORS.operator):
+        assert np.array_equal(built, ref)

@@ -21,7 +21,8 @@ CHECKOUT (default: the checkout holding this script) is a repository root whose
   window of each channel of that WAV, one hop apart, framed with ``stft_frames``,
   then ``cross_spectrum`` and ``estimate`` (one ``q_max theta_est energy`` repr
   line per hop in ``live/METHOD.txt``); ``svd`` reads the default factor file
-- the default ``gccdoa evaluate`` CSV and stdout
+- the default ``gccdoa evaluate`` CSV and stdout, and the same sweep over all 14
+  methods (``--methods all``), the accuracy columns of ``tools/paper_table.py``
 
 Nothing is timed. Run it on two checkouts and ``diff`` the two listings.
 """
@@ -105,6 +106,7 @@ with tempfile.TemporaryDirectory() as tmp:
                    *extra, "--out", f"estimates_{method}{tag}.ndjson")
     subprocess.run([sys.executable, "-c", LIVE_HOP, *METHODS], cwd=work, env=env, check=True)
     gccdoa("evaluate", "evaluate", "--out", "accuracy.csv")
+    gccdoa("evaluate-all", "evaluate", "--methods", "all", "--out", "accuracy_all.csv")
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         lines.append(f"{sha256(path.read_bytes())}  {path.relative_to(work)}")
     print("\n".join(lines))
