@@ -36,13 +36,15 @@ def _params(args, **fixed) -> GccParams:
 
 
 def _split(spec: str, flag: str, item=str) -> list:
-    """Stripped, non-blank entries of a comma-separated flag value, each passed through item."""
+    """Stripped, non-blank, distinct entries of a comma-separated flag value, each through item."""
     try:
         items = [item(x.strip()) for x in spec.split(",") if x.strip()]
     except ValueError:
         raise InputError(f"{flag} {spec!r}: every entry must be a number") from None
     if not items:
         raise InputError(f"{flag} {spec!r}: empty list")
+    if len(set(items)) < len(items):  # 0 and -0.0 are one entry
+        raise InputError(f"{flag} {spec!r}: an entry is repeated")
     return items
 
 
@@ -202,10 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="accuracy sweep over (beta, SNR) cells")
     _add_param_flags(p, _PARAM_HELP)
-    p.add_argument("--methods", default="mm,fft01,fft02-qi")
-    p.add_argument("--betas", default="0,0.6")
-    p.add_argument("--snrs", default="40,10")
-    p.add_argument("--configs", type=int, default=50)
+    p.add_argument("--methods", default=",".join(evaluation.DEFAULT_METHODS))
+    p.add_argument("--betas", default=",".join(f"{b:g}" for b in evaluation.DEFAULT_BETAS))
+    p.add_argument("--snrs", default=",".join(f"{s:g}" for s in evaluation.DEFAULT_SNRS))
+    p.add_argument("--configs", type=int, default=evaluation.DEFAULT_CONFIGS)
     p.add_argument("--seed", type=int, default=evaluation.DEFAULT_EVAL_SEED)
     p.add_argument("--duration", type=float, default=evaluation.DEFAULT_DURATION_S)
     p.add_argument("--out", default="accuracy.csv")
@@ -216,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="per-frame execution time of the back-ends")
     _add_param_flags(p, _PARAM_HELP)
     p.add_argument("--methods", default="all")
-    p.add_argument("--frames", type=int, default=2000)
-    p.add_argument("--warmup", type=int, default=100)
+    p.add_argument("--frames", type=int, default=evaluation.DEFAULT_BENCH_FRAMES)
+    p.add_argument("--warmup", type=int, default=evaluation.DEFAULT_WARMUP)
     p.add_argument("--seed", type=int, default=evaluation.DEFAULT_BENCH_SEED)
     p.add_argument("--out", default="timing.csv")
     p.set_defaults(func=cmd_bench)

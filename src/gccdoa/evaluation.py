@@ -31,7 +31,11 @@ from .stft import cross_spectrum, stft_frames
 # are small enough that rare near-endfire draws dominate sub-degree RMSE, so
 # the frozen seed is chosen to keep the clean cell representative
 DEFAULT_EVAL_SEED = 8
-DEFAULT_CELLS = ((0.0, 40.0), (0.0, 10.0), (0.6, 40.0), (0.6, 10.0))
+# the defaults of `gccdoa evaluate` and `gccdoa bench`; DEFAULT_METHODS is the checked roster
+DEFAULT_METHODS = ("mm", "fft01", "fft02-qi")
+DEFAULT_BETAS, DEFAULT_SNRS = (0.0, 0.6), (40.0, 10.0)
+DEFAULT_CELLS = tuple((beta, snr) for beta in DEFAULT_BETAS for snr in DEFAULT_SNRS)
+DEFAULT_CONFIGS, DEFAULT_BENCH_FRAMES, DEFAULT_WARMUP = 50, 2000, 100
 DEFAULT_DURATION_S = 1.5
 DEFAULT_BENCH_SEED = 20240901
 
@@ -129,7 +133,7 @@ def run_accuracy_sweep(methods, cells, n_configs: int, seed: int,
 
 
 def run_bench(methods, n_frames: int, params: GccParams | None = None,
-              warmup: int = 100, seed: int = DEFAULT_BENCH_SEED) -> list[TimingReport]:
+              warmup: int = DEFAULT_WARMUP, seed: int = DEFAULT_BENCH_SEED) -> list[TimingReport]:
     """Mean/median per-call wall time of estimate() on a shared random batch.
 
     One call at a time, though BLAS may thread a product (OpenBLAS does by default);
@@ -208,8 +212,11 @@ def check_accuracy_reports(reports) -> list[tuple[str, bool, str]]:
     """The four desk-scale replication properties over the reports' own cells.
 
     Fewer than two betas or two SNRs leave nothing to compare and raise
-    ConfigurationError. An mm RMSE of 0 reads rel=0 against a qi RMSE of 0, else inf.
+    ConfigurationError, as do two reports of one (method, beta, snr_db). An mm RMSE
+    of 0 reads rel=0 against a qi RMSE of 0, else inf.
     """
+    if len({(r.method, r.beta, r.snr_db) for r in reports}) < len(reports):
+        raise ConfigurationError("the accuracy check needs one report per (method, beta, snr_db)")
     cells = list(dict.fromkeys((r.beta, r.snr_db) for r in reports))  # in report order
     betas = sorted({beta for beta, _ in cells})
     snrs = sorted({snr for _, snr in cells})
@@ -219,7 +226,7 @@ def check_accuracy_reports(reports) -> list[tuple[str, bool, str]]:
                                      f"got {values}")
     beats, within, noise = [], [], []
     for beta, snr in cells:
-        mm, f1, qi = (_cell(reports, m, beta, snr).rmse_deg for m in ("mm", "fft01", "fft02-qi"))
+        mm, f1, qi = (_cell(reports, m, beta, snr).rmse_deg for m in DEFAULT_METHODS)
         gap = abs(qi - mm)
         rel = gap / mm if mm else (np.inf if gap else 0.0)
         beats.append((mm <= f1, f"({beta:g},{snr:g}): {mm:.3f}<= {f1:.3f}"))

@@ -10,9 +10,9 @@ CHECKOUT (default: the checkout holding this script) is a repository root whose
   (file, stdout)
 - ``gccdoa simulate --configs 2 --seed 5 --beta 0.6 --snr 20 --write-wavs``
   (both WAVs, the manifest, stdout)
-- ``gccdoa estimate`` with all 14 methods (NDJSON, stdout) on the first
-  simulated WAV with stretches of digital silence cut into it; ``svd`` reads the
-  default factor file
+- ``gccdoa estimate`` with all 14 methods of the checkout's ``method_names()``
+  (NDJSON, stdout) on the first simulated WAV with stretches of digital silence
+  cut into it; ``svd`` reads the default factor file
 - the same 14 ``gccdoa estimate`` runs at ``--dist 0.3``, where fft01..fft04(-qi)
   read their lags through the padded irfft and fft08..fft32(-qi) through chirp-z
   (at the defaults every fftNN takes the lag operator); ``svd`` reads the
@@ -35,7 +35,6 @@ import wave
 from pathlib import Path
 
 ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
-METHODS = ["mm", *(f"fft{i:02d}{qi}" for qi in ("", "-qi") for i in (1, 2, 4, 8, 16, 32)), "svd"]
 # (first, stop) seconds of the source WAV set to digital silence in both channels
 SILENCES = ((0.0, 0.1), (0.4, 0.7), (1.2, 1.3))
 
@@ -63,6 +62,8 @@ for method in sys.argv[1:]:
 
 if len(sys.argv) > 2 or not (ROOT / "src" / "gccdoa").is_dir():
     sys.exit(__doc__)
+sys.path.insert(0, str(ROOT / "src"))
+from gccdoa.estimators import method_names  # noqa: E402
 
 
 def sha256(data: bytes) -> str:
@@ -100,11 +101,11 @@ with tempfile.TemporaryDirectory() as tmp:
            "--write-wavs", "--out-dir", "sim")
     with_silences(work / "sim" / "scenario_0000.wav", work / "gaps.wav")
     for tag, dist in (("", ()), ("_dist0.3", ("--dist", "0.3"))):
-        for method in METHODS:
+        for method in method_names():
             extra = ["--factors", f"factors{tag}.gsvd"] if method == "svd" else []
             gccdoa(f"estimate-{method}{tag}", "estimate", "gaps.wav", "--method", method, *dist,
                    *extra, "--out", f"estimates_{method}{tag}.ndjson")
-    subprocess.run([sys.executable, "-c", LIVE_HOP, *METHODS], cwd=work, env=env, check=True)
+    subprocess.run([sys.executable, "-c", LIVE_HOP, *method_names()], cwd=work, env=env, check=True)
     gccdoa("evaluate", "evaluate", "--out", "accuracy.csv")
     gccdoa("evaluate-all", "evaluate", "--methods", "all", "--out", "accuracy_all.csv")
     for path in sorted(p for p in work.rglob("*") if p.is_file()):

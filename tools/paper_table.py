@@ -7,10 +7,10 @@ CHECKOUT (default: the checkout holding this script) is a repository root whose
 ``src/`` is run. Every column is taken at the default ``GccParams``:
 
 - the RMSE in degrees of each (beta, SNR dB) cell of ``DEFAULT_CELLS``, from
-  ``run_accuracy_sweep(method_names(), DEFAULT_CELLS, 50, DEFAULT_EVAL_SEED)``:
+  ``run_accuracy_sweep(method_names(), DEFAULT_CELLS, DEFAULT_CONFIGS, DEFAULT_EVAL_SEED)``:
   the default ``gccdoa evaluate`` sweep, over all 14 methods;
-- the median µs per ``estimate()`` call from ``run_bench`` (2000 frames, as
-  ``gccdoa bench``), the one column that depends on the host;
+- the median µs per ``estimate()`` call from ``run_bench`` (``DEFAULT_BENCH_FRAMES``
+  frames, as ``gccdoa bench``), the one column that depends on the host;
 - real multiply-adds per frame, from the shapes of each back-end's operator:
   mm 4·Q·(N/2+1) for its complex product, svd (K_R+K_I)·(Q + 2(N/2+1)) for
   its two stacked real products, fftNN its lag operator's rows × 2(N/2+1),
@@ -35,10 +35,8 @@ import numpy as np  # noqa: E402
 
 from gccdoa.core import GccParams  # noqa: E402
 from gccdoa.estimators import _curve_operator, _gap_bound, build_estimator, method_names  # noqa: E402
-from gccdoa.evaluation import (DEFAULT_CELLS, DEFAULT_EVAL_SEED, run_accuracy_sweep,  # noqa: E402
-                               run_bench)
-
-CONFIGS, FRAMES = 50, 2000
+from gccdoa.evaluation import (DEFAULT_BENCH_FRAMES, DEFAULT_CELLS, DEFAULT_CONFIGS,  # noqa: E402
+                               DEFAULT_EVAL_SEED, run_accuracy_sweep, run_bench)
 
 
 def multiply_adds(est) -> int:
@@ -53,8 +51,8 @@ def multiply_adds(est) -> int:
 params = GccParams()
 methods = method_names()
 rmse = {(r.method, r.beta, r.snr_db): r.rmse_deg
-        for r in run_accuracy_sweep(methods, DEFAULT_CELLS, CONFIGS, DEFAULT_EVAL_SEED)}
-median_us = {r.method: r.median_us_per_frame for r in run_bench(methods, FRAMES)}
+        for r in run_accuracy_sweep(methods, DEFAULT_CELLS, DEFAULT_CONFIGS, DEFAULT_EVAL_SEED)}
+median_us = {r.method: r.median_us_per_frame for r in run_bench(methods, DEFAULT_BENCH_FRAMES)}
 ests = {name: build_estimator(name, params) for name in methods}
 a_mm = _curve_operator(ests["mm"])
 

@@ -4,10 +4,10 @@ replication property holds and how each cell's RMSE spreads across seeds.
     python3 tools/seed_sweep.py [CHECKOUT] [--seeds S]
 
 CHECKOUT (default: the checkout holding this script) is a repository root whose
-``src/`` is run. The sweep is ``gccdoa evaluate``'s default: methods
-``mm,fft01,fft02-qi``, the four ``DEFAULT_CELLS``, 50 configurations per cell,
-at the default parameters. S defaults to 30; one seed takes about 3 s on two
-cores. Nothing is written.
+``src/`` is run. The sweep is ``gccdoa evaluate``'s default, from the checkout's
+``evaluation``: ``DEFAULT_METHODS`` over the four ``DEFAULT_CELLS``, with
+``DEFAULT_CONFIGS`` configurations per cell, at the default parameters. S
+defaults to 30; one seed takes about 3 s on two cores. Nothing is written.
 """
 import argparse
 import sys
@@ -23,16 +23,14 @@ sys.path.insert(0, str(args.checkout.resolve() / "src"))
 
 import numpy as np  # noqa: E402
 
-from gccdoa.evaluation import DEFAULT_CELLS, check_accuracy_reports, run_accuracy_sweep  # noqa: E402
-
-METHODS = ("mm", "fft01", "fft02-qi")
-CONFIGS = 50
+from gccdoa.evaluation import (DEFAULT_CELLS, DEFAULT_CONFIGS, DEFAULT_METHODS,  # noqa: E402
+                               check_accuracy_reports, run_accuracy_sweep)
 
 seeds = range(1, args.seeds + 1)
 failed: dict[str, list[int]] = {}
 rmse: dict[tuple[str, float, float], list[float]] = {}
 for seed in seeds:
-    reports = run_accuracy_sweep(METHODS, DEFAULT_CELLS, CONFIGS, seed)
+    reports = run_accuracy_sweep(DEFAULT_METHODS, DEFAULT_CELLS, DEFAULT_CONFIGS, seed)
     for name, passed, _ in check_accuracy_reports(reports):
         failed.setdefault(name, [])
         if not passed:
@@ -40,7 +38,8 @@ for seed in seeds:
     for r in reports:
         rmse.setdefault((r.method, r.beta, r.snr_db), []).append(r.rmse_deg)
 
-print(f"seeds 1..{args.seeds}, methods {','.join(METHODS)}, {CONFIGS} configurations per cell")
+print(f"seeds 1..{args.seeds}, methods {','.join(DEFAULT_METHODS)}, "
+      f"{DEFAULT_CONFIGS} configurations per cell")
 print(f"{'property':<30} passed  failed at seeds")
 for name, seeds_failed in failed.items():
     print(f"{name:<30} {args.seeds - len(seeds_failed):>2}/{args.seeds}   "
